@@ -1,0 +1,731 @@
+"""Numerical evaluation of the superposition entanglement bounds T1-T9 and
+the six-term negativity chain.
+
+Every inequality is treated as a claim under test, never as an axiom: both
+sides are evaluated on a concrete instance, signed margins are reported
+(non-negative margin means the inequality held), and violating instances are
+emitted as replayable certificates.  Ambiguities in the bound statements
+(log parses, min/max labels, zero coefficients in scans) are transcribed
+literally and flagged in the report notes rather than silently corrected.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+from .measures import (
+    entropy_of_entanglement,
+    log_negativity,
+    negativity,
+    renyi_entropy,
+)
+from .states import (
+    MATRIX_FORM,
+    VECTOR_FORM,
+    PreconditionError,
+    PureState,
+    RandomSource,
+    SchmidtVector,
+    _draw_sorted_simplex,
+    schmidt_of_state,
+)
+from .superpose import SuperpositionResult, SuperpositionSpec, superpose
+
+# A bound "holds" when every evaluated margin clears this floor.
+MARGIN_TOL = 1e-9
+# Components count as orthogonal below this overlap magnitude.
+ORTHO_TOL = 1e-9
+
+THEOREM_ORDER = ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8", "T9", "Chain11")
+
+_NEGATIVITY_NOTE = "negativity convention: (partial-transpose trace norm - 1)/2"
+
+
+@dataclass(frozen=True)
+class BoundInstance:
+    """One concrete superposition with the evaluation knobs.
+
+    ``gamma`` is the cached superposition of ``spec`` (always recomputable
+    from it); ``delta_param`` is the Renyi order, ``log_base`` the base used
+    where a bound writes a bare log.
+    """
+
+    spec: SuperpositionSpec
+    gamma: SuperpositionResult
+    delta_param: float | None
+    log_base: float
+
+    @classmethod
+    def build(
+        cls,
+        spec: SuperpositionSpec,
+        delta_param: float | None = None,
+        log_base: float = 2.0,
+    ) -> "BoundInstance":
+        if not log_base > 1.0:
+            raise ValueError(f"log base must exceed 1, got {log_base!r}")
+        return cls(spec, superpose(spec), delta_param, log_base)
+
+    @property
+    def alpha(self) -> float:
+        return self.spec.alpha
+
+    @property
+    def beta(self) -> float:
+        return self.spec.beta
+
+    @property
+    def psi_schmidt(self) -> SchmidtVector:
+        return schmidt_of_state(self.spec.psi)
+
+    @property
+    def phi_schmidt(self) -> SchmidtVector:
+        return schmidt_of_state(self.spec.phi)
+
+    @property
+    def orthogonal(self) -> bool:
+        return abs(self.gamma.overlap) <= ORTHO_TOL
+
+
+@dataclass(frozen=True)
+class BoundReport:
+    """Evaluated sides and signed margins of one bound on one instance.
+
+    For an inequality written ``lhs <= rhs`` the margin is ``rhs - lhs``;
+    ``holds`` requires every present margin to be at least ``-MARGIN_TOL``.
+    The snapshot carries the full inputs, so any report can be re-derived.
+    """
+
+    theorem: str
+    lower_lhs: float | None
+    lower_rhs: float | None
+    upper_lhs: float | None
+    upper_rhs: float | None
+    margin_lower: float | None
+    margin_upper: float | None
+    holds: bool
+    orthogonal: bool
+    snapshot: dict
+    notes: tuple[str, ...] = ()
+    chain_terms: tuple[float, ...] | None = None
+    chain_margins: tuple[float, ...] | None = None
+
+    def margins(self) -> tuple[float, ...]:
+        present = [m for m in (self.margin_lower, self.margin_upper) if m is not None]
+        if self.chain_margins is not None:
+            present.extend(self.chain_margins)
+        return tuple(present)
+
+    def worst_margin(self) -> float:
+        return min(self.margins())
+
+
+def _holds(margins) -> bool:
+    return all(not math.isnan(m) and m >= -MARGIN_TOL for m in margins)
+
+
+def _state_doc(state: PureState) -> dict:
+    if state.is_vector:
+        return {"form": VECTOR_FORM, "amplitudes": list(state.amplitudes)}
+    return {"form": MATRIX_FORM, "amplitudes": [list(r) for r in state.amplitudes]}
+
+
+def _state_from_doc(doc: dict) -> PureState:
+    if doc["form"] == VECTOR_FORM:
+        return PureState.vector(doc["amplitudes"])
+    return PureState.matrix(doc["amplitudes"])
+
+
+def snapshot_of_instance(
+    inst: BoundInstance,
+    theorem: str,
+    second: BoundInstance | None = None,
+    scan_excludes_zero: bool = False,
+) -> dict:
+    snap = {
+        "theorem": theorem,
+        "alpha": inst.alpha,
+        "beta": inst.beta,
+        "psi": _state_doc(inst.spec.psi),
+        "phi": _state_doc(inst.spec.phi),
+        "delta": inst.delta_param,
+        "log_base": inst.log_base,
+        "scan_excludes_zero": scan_excludes_zero,
+    }
+    if second is not None:
+        snap["psi_prime"] = _state_doc(second.spec.psi)
+        snap["phi_prime"] = _state_doc(second.spec.phi)
+    return snap
+
+
+def instance_from_snapshot(snap: dict) -> BoundInstance:
+    spec = SuperpositionSpec(
+        snap["alpha"], snap["beta"], _state_from_doc(snap["psi"]), _state_from_doc(snap["phi"])
+    )
+    return BoundInstance.build(spec, snap.get("delta"), snap.get("log_base", 2.0))
+
+
+def second_instance_from_snapshot(snap: dict) -> BoundInstance:
+    spec = SuperpositionSpec(
+        snap["alpha"],
+        snap["beta"],
+        _state_from_doc(snap["psi_prime"]),
+        _state_from_doc(snap["phi_prime"]),
+    )
+    return BoundInstance.build(spec, snap.get("delta"), snap.get("log_base", 2.0))
+
+
+def _require_vector3_components(inst: BoundInstance, theorem: str) -> None:
+    if inst.spec.psi.layout != (VECTOR_FORM, 3):
+        raise PreconditionError(
+            f"{theorem} is stated for 3x3 vector-form components, got {inst.spec.psi.layout}"
+        )
+
+
+def _amplitude_scan(inst: BoundInstance, exclude_zero: bool) -> tuple[float, float]:
+    """Min and max over the pooled component amplitudes (the root coefficients)."""
+    pool = inst.spec.psi.amplitudes + inst.spec.phi.amplitudes
+    if exclude_zero:
+        pool = tuple(x for x in pool if x > 0.0)
+    return min(pool), max(pool)
+
+
+def eval_t1(inst: BoundInstance) -> BoundReport:
+    """Weighted component negativities bound the combined negativity both ways."""
+    n_gamma = negativity(inst.gamma.schmidt)
+    combo = inst.alpha**2 * negativity(inst.psi_schmidt) + inst.beta**2 * negativity(
+        inst.phi_schmidt
+    )
+    upper = combo + inst.alpha * inst.beta
+    margins = (n_gamma - combo, upper - n_gamma)
+    return BoundReport(
+        "T1",
+        lower_lhs=combo,
+        lower_rhs=n_gamma,
+        upper_lhs=n_gamma,
+        upper_rhs=upper,
+        margin_lower=margins[0],
+        margin_upper=margins[1],
+        holds=_holds(margins),
+        orthogonal=inst.orthogonal,
+        snapshot=snapshot_of_instance(inst, "T1"),
+        notes=(_NEGATIVITY_NOTE,),
+    )
+
+
+def eval_t2(inst: BoundInstance, scan_excludes_zero: bool = False) -> BoundReport:
+    """Negativity bracketed by 9(alpha+beta)^2 times the extreme squared amplitudes."""
+    _require_vector3_components(inst, "T2")
+    lo_amp, hi_amp = _amplitude_scan(inst, scan_excludes_zero)
+    pref = 9.0 * (inst.alpha + inst.beta) ** 2
+    lower = 0.5 * (pref * lo_amp**2 - 1.0)
+    upper = 0.5 * (pref * hi_amp**2 - 1.0)
+    n_gamma = negativity(inst.gamma.schmidt)
+    margins = (n_gamma - lower, upper - n_gamma)
+    return BoundReport(
+        "T2",
+        lower_lhs=lower,
+        lower_rhs=n_gamma,
+        upper_lhs=n_gamma,
+        upper_rhs=upper,
+        margin_lower=margins[0],
+        margin_upper=margins[1],
+        holds=_holds(margins),
+        orthogonal=inst.orthogonal,
+        snapshot=snapshot_of_instance(inst, "T2", scan_excludes_zero=scan_excludes_zero),
+        notes=(_NEGATIVITY_NOTE,),
+    )
+
+
+def eval_t3(inst: BoundInstance) -> BoundReport:
+    """Mean component log-negativity plus 2 + log(alpha beta) as a lower bound."""
+    ab = inst.alpha * inst.beta
+    if ab <= 0.0:
+        raise PreconditionError("T3 needs alpha*beta > 0 (log of the product is taken)")
+    base = inst.log_base
+    lower = (
+        0.5 * (log_negativity(inst.psi_schmidt, base) + log_negativity(inst.phi_schmidt, base))
+        + 2.0
+        + math.log(ab, base)
+    )
+    ln_gamma = log_negativity(inst.gamma.schmidt, base)
+    margins = (ln_gamma - lower,)
+    return BoundReport(
+        "T3",
+        lower_lhs=lower,
+        lower_rhs=ln_gamma,
+        upper_lhs=None,
+        upper_rhs=None,
+        margin_lower=margins[0],
+        margin_upper=None,
+        holds=_holds(margins),
+        orthogonal=inst.orthogonal,
+        snapshot=snapshot_of_instance(inst, "T3"),
+    )
+
+
+def eval_t4(inst: BoundInstance, scan_excludes_zero: bool = False) -> BoundReport:
+    """Log-negativity bracket 2 log(3 (alpha+beta) amp) at the extreme amplitudes."""
+    _require_vector3_components(inst, "T4")
+    lo_amp, hi_amp = _amplitude_scan(inst, scan_excludes_zero)
+    base = inst.log_base
+    spread = 3.0 * (inst.alpha + inst.beta)
+    notes: list[str] = []
+    if lo_amp > 0.0:
+        lower = 2.0 * math.log(spread * lo_amp, base)
+    else:
+        lower = -math.inf
+        notes.append("lower bound -inf (zero amplitude in scan): vacuously holds")
+    upper = 2.0 * math.log(spread * hi_amp, base)
+    ln_gamma = log_negativity(inst.gamma.schmidt, base)
+    margins = (ln_gamma - lower, upper - ln_gamma)
+    return BoundReport(
+        "T4",
+        lower_lhs=lower,
+        lower_rhs=ln_gamma,
+        upper_lhs=ln_gamma,
+        upper_rhs=upper,
+        margin_lower=margins[0],
+        margin_upper=margins[1],
+        holds=_holds(margins),
+        orthogonal=inst.orthogonal,
+        snapshot=snapshot_of_instance(inst, "T4", scan_excludes_zero=scan_excludes_zero),
+        notes=tuple(notes),
+    )
+
+
+def _require_renyi_order(inst: BoundInstance, theorem: str) -> float:
+    delta = inst.delta_param
+    if delta is None:
+        raise PreconditionError(f"{theorem} needs a Renyi order parameter")
+    delta = float(delta)
+    if delta < 0.0:
+        raise PreconditionError(f"Renyi order must be non-negative, got {delta!r}")
+    if delta == 1.0:
+        raise PreconditionError(f"{theorem} excludes Renyi order 1")
+    return delta
+
+
+def eval_t5(inst: BoundInstance) -> BoundReport:
+    """Component Renyi entropies plus ln(3 (alpha beta)^(2 delta))/(1-delta) as a floor."""
+    delta = _require_renyi_order(inst, "T5")
+    ab = inst.alpha * inst.beta
+    if ab <= 0.0:
+        raise PreconditionError("T5 needs alpha*beta > 0")
+    # ln(3 (ab)^(2 delta)) expanded for numerical stability at small ab.
+    lower = (math.log(3.0) + 2.0 * delta * math.log(ab)) / (1.0 - delta) + renyi_entropy(
+        inst.psi_schmidt, delta
+    ) + renyi_entropy(inst.phi_schmidt, delta)
+    s_gamma = renyi_entropy(inst.gamma.schmidt, delta)
+    margins = (s_gamma - lower,)
+    return BoundReport(
+        "T5",
+        lower_lhs=lower,
+        lower_rhs=s_gamma,
+        upper_lhs=None,
+        upper_rhs=None,
+        margin_lower=margins[0],
+        margin_upper=None,
+        holds=_holds(margins),
+        orthogonal=inst.orthogonal,
+        snapshot=snapshot_of_instance(inst, "T5"),
+    )
+
+
+def eval_t6(inst: BoundInstance, scan_excludes_zero: bool = False) -> BoundReport:
+    """Renyi entropy against (2 delta/(1-delta)) ln of the extreme joint amplitudes.
+
+    The scan runs over the unnormalized combined amplitudes
+    alpha*sqrt(a_i) + beta*sqrt(b_i); the zero-exclusion flag applies to it
+    like to the other scans.  For delta > 1 the prefactor is negative, so the
+    written lower side can exceed the upper side; the crossing is flagged,
+    not corrected.
+    """
+    delta = _require_renyi_order(inst, "T6")
+    if not inst.spec.psi.is_vector:
+        raise PreconditionError("T6 is stated for vector-form components")
+    eta = [
+        inst.alpha * a + inst.beta * b
+        for a, b in zip(inst.spec.psi.amplitudes, inst.spec.phi.amplitudes)
+    ]
+    if scan_excludes_zero:
+        eta = [x for x in eta if x > 0.0]
+    coef = 2.0 * delta / (1.0 - delta)
+    notes: list[str] = []
+
+    def side(amp: float) -> float:
+        if amp > 0.0:
+            return coef * math.log(amp)
+        return -math.inf if coef > 0.0 else math.inf
+
+    lower = side(min(eta))
+    upper = side(max(eta))
+    if min(eta) <= 0.0:
+        notes.append("zero joint amplitude in scan: bound side is infinite")
+    if lower > upper:
+        notes.append("bound sides cross: prefactor 2*delta/(1-delta) is negative")
+    s_gamma = renyi_entropy(inst.gamma.schmidt, delta)
+    margins = (s_gamma - lower, upper - s_gamma)
+    return BoundReport(
+        "T6",
+        lower_lhs=lower,
+        lower_rhs=s_gamma,
+        upper_lhs=s_gamma,
+        upper_rhs=upper,
+        margin_lower=margins[0],
+        margin_upper=margins[1],
+        holds=_holds(margins),
+        orthogonal=inst.orthogonal,
+        snapshot=snapshot_of_instance(inst, "T6", scan_excludes_zero=scan_excludes_zero),
+        notes=tuple(notes),
+    )
+
+
+def eval_t7(inst: BoundInstance) -> BoundReport:
+    """Entropy bounded by the squared weighted root-entropies-plus-one."""
+    e_gamma = entropy_of_entanglement(inst.gamma.schmidt)
+    upper = (
+        inst.alpha * math.sqrt(entropy_of_entanglement(inst.psi_schmidt) + 1.0)
+        + inst.beta * math.sqrt(entropy_of_entanglement(inst.phi_schmidt) + 1.0)
+    ) ** 2
+    margins = (upper - e_gamma,)
+    return BoundReport(
+        "T7",
+        lower_lhs=None,
+        lower_rhs=None,
+        upper_lhs=e_gamma,
+        upper_rhs=upper,
+        margin_lower=None,
+        margin_upper=margins[0],
+        holds=_holds(margins),
+        orthogonal=inst.orthogonal,
+        snapshot=snapshot_of_instance(inst, "T7"),
+    )
+
+
+def _xlog2(x: float) -> float:
+    return x * math.log2(x) if x > 0.0 else 0.0
+
+
+def eval_t8(inst: BoundInstance) -> BoundReport:
+    """Weighted component entropies minus the weight log terms, weights linear.
+
+    The weights enter linearly, exactly as the bound is written; the
+    squared-weight reading (which turns the log terms into a binary entropy)
+    is recorded in the notes for comparison.
+    """
+    e_gamma = entropy_of_entanglement(inst.gamma.schmidt)
+    e_psi = entropy_of_entanglement(inst.psi_schmidt)
+    e_phi = entropy_of_entanglement(inst.phi_schmidt)
+    a, b = inst.alpha, inst.beta
+    upper = a * e_psi + b * e_phi - _xlog2(a) - _xlog2(b)
+    alt = a * a * e_psi + b * b * e_phi - _xlog2(a * a) - _xlog2(b * b)
+    margins = (upper - e_gamma,)
+    return BoundReport(
+        "T8",
+        lower_lhs=None,
+        lower_rhs=None,
+        upper_lhs=e_gamma,
+        upper_rhs=upper,
+        margin_lower=None,
+        margin_upper=margins[0],
+        holds=_holds(margins),
+        orthogonal=inst.orthogonal,
+        snapshot=snapshot_of_instance(inst, "T8"),
+        notes=(f"alternative squared-weight reading gives upper {alt!r}",),
+    )
+
+
+def eval_t9(inst: BoundInstance, scan_excludes_zero: bool = False) -> BoundReport:
+    """Entropy against 2 log2(3 (alpha+beta)) times the largest amplitude.
+
+    Parsed as log2 applied to the full product 3(alpha+beta); the alternative
+    parse (log2 3)*(alpha+beta) is evaluated into the notes.
+    """
+    _require_vector3_components(inst, "T9")
+    _, hi_amp = _amplitude_scan(inst, scan_excludes_zero)
+    e_gamma = entropy_of_entanglement(inst.gamma.schmidt)
+    upper = 2.0 * math.log2(3.0 * (inst.alpha + inst.beta)) * hi_amp
+    alt = 2.0 * math.log2(3.0) * (inst.alpha + inst.beta) * hi_amp
+    margins = (upper - e_gamma,)
+    return BoundReport(
+        "T9",
+        lower_lhs=None,
+        lower_rhs=None,
+        upper_lhs=e_gamma,
+        upper_rhs=upper,
+        margin_lower=None,
+        margin_upper=margins[0],
+        holds=_holds(margins),
+        orthogonal=inst.orthogonal,
+        snapshot=snapshot_of_instance(inst, "T9", scan_excludes_zero=scan_excludes_zero),
+        notes=(f"alternative parse (log2 3)*(alpha+beta) gives upper {alt!r}",),
+    )
+
+
+def eval_negativity_bounds(
+    inst: BoundInstance, scan_excludes_zero: bool = False
+) -> tuple[BoundReport, BoundReport]:
+    return eval_t1(inst), eval_t2(inst, scan_excludes_zero)
+
+
+def eval_logneg_bounds(
+    inst: BoundInstance, scan_excludes_zero: bool = False
+) -> tuple[BoundReport, BoundReport]:
+    return eval_t3(inst), eval_t4(inst, scan_excludes_zero)
+
+
+def eval_renyi_bounds(
+    inst: BoundInstance, scan_excludes_zero: bool = False
+) -> tuple[BoundReport, BoundReport]:
+    return eval_t5(inst), eval_t6(inst, scan_excludes_zero)
+
+
+def eval_entropy_bounds(
+    inst: BoundInstance, scan_excludes_zero: bool = False
+) -> tuple[BoundReport, BoundReport, BoundReport]:
+    return eval_t7(inst), eval_t8(inst), eval_t9(inst, scan_excludes_zero)
+
+
+def eval_chain_inequality(inst_a: BoundInstance, inst_b: BoundInstance) -> BoundReport:
+    """Six-term negativity chain for two superpositions with equal weights.
+
+    Transcribed literally: the coefficient terms square the named squared
+    Schmidt coefficients, the two middle terms are read as min/max of the two
+    negativities, and the last link compares a max against a min of
+    first coefficients.  Links that fail under this literal reading are
+    flagged, not repaired.
+    """
+    if abs(inst_a.alpha - inst_b.alpha) > 1e-12 or abs(inst_a.beta - inst_b.beta) > 1e-12:
+        raise PreconditionError(
+            f"chain needs equal weights, got ({inst_a.alpha!r}, {inst_a.beta!r}) "
+            f"vs ({inst_b.alpha!r}, {inst_b.beta!r})"
+        )
+    _require_vector3_components(inst_a, "Chain11")
+    _require_vector3_components(inst_b, "Chain11")
+    a = [x * x for x in inst_a.spec.psi.amplitudes]
+    b = [x * x for x in inst_a.spec.phi.amplitudes]
+    ap = [x * x for x in inst_b.spec.psi.amplitudes]
+    bp = [x * x for x in inst_b.spec.phi.amplitudes]
+    pref = 9.0 * (inst_a.alpha + inst_a.beta) ** 2
+    n_a = negativity(inst_a.gamma.schmidt)
+    n_b = negativity(inst_b.gamma.schmidt)
+    terms = (
+        0.5 * (pref * min(ap[2], bp[2]) ** 2 - 1.0),
+        0.5 * (pref * min(a[2], b[2]) ** 2 - 1.0),
+        min(n_a, n_b),
+        max(n_a, n_b),
+        0.5 * (pref * max(ap[0], bp[0]) ** 2 - 1.0),
+        0.5 * (pref * min(a[0], b[0]) ** 2 - 1.0),
+    )
+    margins = tuple(terms[i + 1] - terms[i] for i in range(5))
+    notes = [
+        _NEGATIVITY_NOTE,
+        "literal transcription: coefficient terms square the squared Schmidt "
+        "coefficients; the reading consistent with the amplitude-scan bound "
+        "would drop the outer square",
+        "middle terms read as min/max of the two negativities",
+        "final link compares max(primed first coefficients) against "
+        "min(unprimed first coefficients), as written",
+    ]
+    for i, m in enumerate(margins):
+        if m < -MARGIN_TOL:
+            notes.append(f"link {i + 1} fails under the literal reading")
+    return BoundReport(
+        "Chain11",
+        lower_lhs=None,
+        lower_rhs=None,
+        upper_lhs=None,
+        upper_rhs=None,
+        margin_lower=None,
+        margin_upper=None,
+        holds=_holds(margins),
+        orthogonal=inst_a.orthogonal and inst_b.orthogonal,
+        snapshot=snapshot_of_instance(inst_a, "Chain11", second=inst_b),
+        notes=tuple(notes),
+        chain_terms=terms,
+        chain_margins=margins,
+    )
+
+
+def replay_certificate(certificate: dict) -> BoundReport:
+    """Re-evaluate a certificate's snapshot; margins must reproduce exactly."""
+    snap = certificate["snapshot"] if "snapshot" in certificate else certificate
+    theorem = snap["theorem"]
+    inst = instance_from_snapshot(snap)
+    if theorem == "Chain11":
+        return eval_chain_inequality(inst, second_instance_from_snapshot(snap))
+    scan = bool(snap.get("scan_excludes_zero", False))
+    if theorem in ("T2", "T4", "T6", "T9"):
+        return _EVALUATORS[theorem](inst, scan)
+    return _EVALUATORS[theorem](inst)
+
+
+_EVALUATORS = {
+    "T1": eval_t1,
+    "T2": eval_t2,
+    "T3": eval_t3,
+    "T4": eval_t4,
+    "T5": eval_t5,
+    "T6": eval_t6,
+    "T7": eval_t7,
+    "T8": eval_t8,
+    "T9": eval_t9,
+}
+
+
+@dataclass(frozen=True)
+class TheoremTally:
+    theorem: str
+    evaluated: int
+    held: int
+    worst_margin: float | None
+    certificates: tuple[dict, ...]
+
+    @property
+    def hold_rate(self) -> float | None:
+        return self.held / self.evaluated if self.evaluated else None
+
+
+@dataclass(frozen=True)
+class BoundSurvey:
+    """Per-theorem hold rates over sampled instances, with certificates.
+
+    Deterministic in the random source; certificates replay through
+    :func:`replay_certificate`.
+    """
+
+    samples: int
+    orthogonal_only: bool
+    delta: float
+    log_base: float
+    scan_excludes_zero: bool
+    tallies: tuple[TheoremTally, ...]
+
+    def tally(self, theorem: str) -> TheoremTally:
+        for t in self.tallies:
+            if t.theorem == theorem:
+                return t
+        raise KeyError(theorem)
+
+    def certificates(self) -> list[dict]:
+        return [c for t in self.tallies for c in t.certificates]
+
+    def to_csv(self) -> str:
+        lines = ["theorem,n,hold_rate,worst_margin,certificate_ids"]
+        for t in self.tallies:
+            rate = "" if t.hold_rate is None else repr(t.hold_rate)
+            worst = "" if t.worst_margin is None else repr(t.worst_margin)
+            ids = ";".join(c["id"] for c in t.certificates)
+            lines.append(f"{t.theorem},{t.evaluated},{rate},{worst},{ids}")
+        return "\n".join(lines) + "\n"
+
+
+def _draw_weight(gen) -> float:
+    while True:
+        u = float(gen.random())
+        if 0.0 < u < 1.0:
+            return u
+
+
+def _simplex_masses(gen, k: int) -> list[float]:
+    while True:
+        draws = gen.standard_exponential(k).tolist()
+        total = sum(draws)
+        if total > 0.0:
+            return [x / total for x in draws]
+
+
+def _draw_vector3(gen, orthogonal: bool) -> tuple[PureState, PureState]:
+    """One component pair: sorted full-support triples, or disjoint supports.
+
+    Disjoint supports (the only way two shared-basis non-negative vectors can
+    be orthogonal) force zeros, so those amplitudes stay in physical basis
+    order instead of sorted order.
+    """
+    if not orthogonal:
+        a = _draw_sorted_simplex(gen, 3, strict=False)
+        b = _draw_sorted_simplex(gen, 3, strict=False)
+        return (
+            PureState.vector([math.sqrt(x) for x in a]),
+            PureState.vector([math.sqrt(x) for x in b]),
+        )
+    k = int(gen.integers(1, 3))
+    order = [int(i) for i in gen.permutation(3)]
+    psi_amp = [0.0, 0.0, 0.0]
+    phi_amp = [0.0, 0.0, 0.0]
+    for idx, mass in zip(order[:k], _simplex_masses(gen, k)):
+        psi_amp[idx] = math.sqrt(mass)
+    for idx, mass in zip(order[k:], _simplex_masses(gen, 3 - k)):
+        phi_amp[idx] = math.sqrt(mass)
+    return PureState.vector(psi_amp), PureState.vector(phi_amp)
+
+
+def survey_bounds(
+    rng: RandomSource,
+    n: int,
+    *,
+    orthogonal_only: bool = False,
+    delta: float = 2.0,
+    log_base: float = 2.0,
+    scan_excludes_zero: bool = False,
+    max_certificates: int = 10,
+) -> BoundSurvey:
+    """Evaluate every bound on ``n`` sampled 3x3 instances and tally hold rates.
+
+    Each sample draws its own sub-stream, so the outcome is independent of
+    how the loop would be scheduled across workers.  The chain is evaluated
+    on a second component pair drawn with the same weights.
+    """
+    if n < 1:
+        raise ValueError("survey needs at least one sample")
+    counts = {t: [0, 0, None] for t in THEOREM_ORDER}  # evaluated, held, worst
+    certs: dict[str, list[dict]] = {t: [] for t in THEOREM_ORDER}
+    for i in range(n):
+        gen = rng.derive(i).generator()
+        alpha = _draw_weight(gen)
+        beta = math.sqrt(1.0 - alpha * alpha)
+        psi, phi = _draw_vector3(gen, orthogonal_only)
+        psi2, phi2 = _draw_vector3(gen, orthogonal_only)
+        inst = BoundInstance.build(
+            SuperpositionSpec(alpha, beta, psi, phi), delta, log_base
+        )
+        inst2 = BoundInstance.build(
+            SuperpositionSpec(alpha, beta, psi2, phi2), delta, log_base
+        )
+        reports = [
+            eval_t1(inst),
+            eval_t2(inst, scan_excludes_zero),
+            eval_t3(inst),
+            eval_t4(inst, scan_excludes_zero),
+            eval_t5(inst),
+            eval_t6(inst, scan_excludes_zero),
+            eval_t7(inst),
+            eval_t8(inst),
+            eval_t9(inst, scan_excludes_zero),
+            eval_chain_inequality(inst, inst2),
+        ]
+        for report in reports:
+            entry = counts[report.theorem]
+            entry[0] += 1
+            entry[1] += int(report.holds)
+            worst = report.worst_margin()
+            if entry[2] is None or worst < entry[2]:
+                entry[2] = worst
+            if not report.holds and len(certs[report.theorem]) < max_certificates:
+                certs[report.theorem].append(
+                    {
+                        "id": f"{report.theorem}-{i:06d}",
+                        "sample_index": i,
+                        "snapshot": report.snapshot,
+                        "margins": list(report.margins()),
+                        "holds": report.holds,
+                        "notes": list(report.notes),
+                    }
+                )
+    tallies = tuple(
+        TheoremTally(t, counts[t][0], counts[t][1], counts[t][2], tuple(certs[t]))
+        for t in THEOREM_ORDER
+    )
+    return BoundSurvey(n, orthogonal_only, delta, log_base, scan_excludes_zero, tallies)
