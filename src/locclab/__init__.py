@@ -6,10 +6,7 @@ from .bounds import (
     BoundReport,
     BoundSurvey,
     eval_chain_inequality,
-    eval_entropy_bounds,
-    eval_logneg_bounds,
-    eval_negativity_bounds,
-    eval_renyi_bounds,
+    evaluate,
     replay_certificate,
     survey_bounds,
 )
@@ -59,7 +56,6 @@ from .superpose import (
     VanishingSuperpositionError,
     overlap,
     superpose,
-    superpose_pair_for_case,
 )
 
 __version__ = "0.1.0"

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .measures import (
     entropy_of_entanglement,
@@ -20,8 +21,8 @@ from .measures import (
     negativity,
     renyi_entropy,
 )
+from .statefile import state_document, state_from_document
 from .states import (
-    MATRIX_FORM,
     VECTOR_FORM,
     PreconditionError,
     PureState,
@@ -75,11 +76,11 @@ class BoundInstance:
     def beta(self) -> float:
         return self.spec.beta
 
-    @property
+    @cached_property
     def psi_schmidt(self) -> SchmidtVector:
         return schmidt_of_state(self.spec.psi)
 
-    @property
+    @cached_property
     def phi_schmidt(self) -> SchmidtVector:
         return schmidt_of_state(self.spec.phi)
 
@@ -94,7 +95,8 @@ class BoundReport:
 
     For an inequality written ``lhs <= rhs`` the margin is ``rhs - lhs``;
     ``holds`` requires every present margin to be at least ``-MARGIN_TOL``.
-    The snapshot carries the full inputs, so any report can be re-derived.
+    The snapshot carries the full inputs, so any report can be re-derived; it
+    is built from the evaluated instances on first access.
     """
 
     theorem: str
@@ -106,10 +108,18 @@ class BoundReport:
     margin_upper: float | None
     holds: bool
     orthogonal: bool
-    snapshot: dict
+    instance: BoundInstance
     notes: tuple[str, ...] = ()
     chain_terms: tuple[float, ...] | None = None
     chain_margins: tuple[float, ...] | None = None
+    second: BoundInstance | None = None
+    scan_excludes_zero: bool = False
+
+    @cached_property
+    def snapshot(self) -> dict:
+        return snapshot_of_instance(
+            self.instance, self.theorem, self.second, self.scan_excludes_zero
+        )
 
     def margins(self) -> tuple[float, ...]:
         present = [m for m in (self.margin_lower, self.margin_upper) if m is not None]
@@ -121,20 +131,53 @@ class BoundReport:
         return min(self.margins())
 
 
-def _holds(margins) -> bool:
-    return all(not math.isnan(m) and m >= -MARGIN_TOL for m in margins)
+def _report(
+    theorem: str,
+    inst: BoundInstance,
+    value: float | None = None,
+    lower: float | None = None,
+    upper: float | None = None,
+    notes=(),
+    *,
+    scan_excludes_zero: bool = False,
+    second: BoundInstance | None = None,
+    chain_terms: tuple[float, ...] | None = None,
+) -> BoundReport:
+    """Margins and verdict of ``lower <= value <= upper`` (a side may be absent),
+    or of the chain ``chain_terms[0] <= chain_terms[1] <= ...``.
 
-
-def _state_doc(state: PureState) -> dict:
-    if state.is_vector:
-        return {"form": VECTOR_FORM, "amplitudes": list(state.amplitudes)}
-    return {"form": MATRIX_FORM, "amplitudes": [list(r) for r in state.amplitudes]}
-
-
-def _state_from_doc(doc: dict) -> PureState:
-    if doc["form"] == VECTOR_FORM:
-        return PureState.vector(doc["amplitudes"])
-    return PureState.matrix(doc["amplitudes"])
+    Every margin is ``rhs - lhs``; chain links that fail are flagged in the
+    notes.
+    """
+    margin_lower = None if lower is None else value - lower
+    margin_upper = None if upper is None else upper - value
+    margins = [m for m in (margin_lower, margin_upper) if m is not None]
+    chain_margins = None
+    if chain_terms is not None:
+        chain_margins = tuple(rhs - lhs for lhs, rhs in zip(chain_terms, chain_terms[1:]))
+        margins.extend(chain_margins)
+        notes = tuple(notes) + tuple(
+            f"link {i + 1} fails under the literal reading"
+            for i, m in enumerate(chain_margins)
+            if m < -MARGIN_TOL
+        )
+    return BoundReport(
+        theorem,
+        lower_lhs=lower,
+        lower_rhs=None if lower is None else value,
+        upper_lhs=None if upper is None else value,
+        upper_rhs=upper,
+        margin_lower=margin_lower,
+        margin_upper=margin_upper,
+        holds=all(not math.isnan(m) and m >= -MARGIN_TOL for m in margins),
+        orthogonal=inst.orthogonal and (second is None or second.orthogonal),
+        instance=inst,
+        notes=tuple(notes),
+        chain_terms=chain_terms,
+        chain_margins=chain_margins,
+        second=second,
+        scan_excludes_zero=scan_excludes_zero,
+    )
 
 
 def snapshot_of_instance(
@@ -147,33 +190,40 @@ def snapshot_of_instance(
         "theorem": theorem,
         "alpha": inst.alpha,
         "beta": inst.beta,
-        "psi": _state_doc(inst.spec.psi),
-        "phi": _state_doc(inst.spec.phi),
+        "psi": state_document(inst.spec.psi),
+        "phi": state_document(inst.spec.phi),
         "delta": inst.delta_param,
         "log_base": inst.log_base,
         "scan_excludes_zero": scan_excludes_zero,
     }
     if second is not None:
-        snap["psi_prime"] = _state_doc(second.spec.psi)
-        snap["phi_prime"] = _state_doc(second.spec.phi)
+        snap["psi_prime"] = state_document(second.spec.psi)
+        snap["phi_prime"] = state_document(second.spec.phi)
     return snap
 
 
-def instance_from_snapshot(snap: dict) -> BoundInstance:
-    spec = SuperpositionSpec(
-        snap["alpha"], snap["beta"], _state_from_doc(snap["psi"]), _state_from_doc(snap["phi"])
-    )
-    return BoundInstance.build(spec, snap.get("delta"), snap.get("log_base", 2.0))
-
-
-def second_instance_from_snapshot(snap: dict) -> BoundInstance:
+def _instance_from_blocks(snap: dict, psi_key: str, phi_key: str) -> BoundInstance:
+    missing = [k for k in ("alpha", "beta", psi_key, phi_key) if k not in snap]
+    if missing:
+        raise ValueError(f"instance document lacks {', '.join(missing)}")
     spec = SuperpositionSpec(
         snap["alpha"],
         snap["beta"],
-        _state_from_doc(snap["psi_prime"]),
-        _state_from_doc(snap["phi_prime"]),
+        state_from_document(snap[psi_key]),
+        state_from_document(snap[phi_key]),
     )
     return BoundInstance.build(spec, snap.get("delta"), snap.get("log_base", 2.0))
+
+
+def instance_from_snapshot(snap: dict) -> BoundInstance:
+    return _instance_from_blocks(snap, "psi", "phi")
+
+
+def second_instance_from_snapshot(snap: dict) -> BoundInstance | None:
+    """The chain's second instance, or None when the snapshot has no primed blocks."""
+    if "psi_prime" not in snap and "phi_prime" not in snap:
+        return None
+    return _instance_from_blocks(snap, "psi_prime", "phi_prime")
 
 
 def _require_vector3_components(inst: BoundInstance, theorem: str) -> None:
@@ -198,20 +248,7 @@ def eval_t1(inst: BoundInstance) -> BoundReport:
         inst.phi_schmidt
     )
     upper = combo + inst.alpha * inst.beta
-    margins = (n_gamma - combo, upper - n_gamma)
-    return BoundReport(
-        "T1",
-        lower_lhs=combo,
-        lower_rhs=n_gamma,
-        upper_lhs=n_gamma,
-        upper_rhs=upper,
-        margin_lower=margins[0],
-        margin_upper=margins[1],
-        holds=_holds(margins),
-        orthogonal=inst.orthogonal,
-        snapshot=snapshot_of_instance(inst, "T1"),
-        notes=(_NEGATIVITY_NOTE,),
-    )
+    return _report("T1", inst, n_gamma, combo, upper, (_NEGATIVITY_NOTE,))
 
 
 def eval_t2(inst: BoundInstance, scan_excludes_zero: bool = False) -> BoundReport:
@@ -222,20 +259,8 @@ def eval_t2(inst: BoundInstance, scan_excludes_zero: bool = False) -> BoundRepor
     lower = 0.5 * (pref * lo_amp**2 - 1.0)
     upper = 0.5 * (pref * hi_amp**2 - 1.0)
     n_gamma = negativity(inst.gamma.schmidt)
-    margins = (n_gamma - lower, upper - n_gamma)
-    return BoundReport(
-        "T2",
-        lower_lhs=lower,
-        lower_rhs=n_gamma,
-        upper_lhs=n_gamma,
-        upper_rhs=upper,
-        margin_lower=margins[0],
-        margin_upper=margins[1],
-        holds=_holds(margins),
-        orthogonal=inst.orthogonal,
-        snapshot=snapshot_of_instance(inst, "T2", scan_excludes_zero=scan_excludes_zero),
-        notes=(_NEGATIVITY_NOTE,),
-    )
+    notes = (_NEGATIVITY_NOTE,)
+    return _report("T2", inst, n_gamma, lower, upper, notes, scan_excludes_zero=scan_excludes_zero)
 
 
 def eval_t3(inst: BoundInstance) -> BoundReport:
@@ -249,20 +274,7 @@ def eval_t3(inst: BoundInstance) -> BoundReport:
         + 2.0
         + math.log(ab, base)
     )
-    ln_gamma = log_negativity(inst.gamma.schmidt, base)
-    margins = (ln_gamma - lower,)
-    return BoundReport(
-        "T3",
-        lower_lhs=lower,
-        lower_rhs=ln_gamma,
-        upper_lhs=None,
-        upper_rhs=None,
-        margin_lower=margins[0],
-        margin_upper=None,
-        holds=_holds(margins),
-        orthogonal=inst.orthogonal,
-        snapshot=snapshot_of_instance(inst, "T3"),
-    )
+    return _report("T3", inst, log_negativity(inst.gamma.schmidt, base), lower)
 
 
 def eval_t4(inst: BoundInstance, scan_excludes_zero: bool = False) -> BoundReport:
@@ -279,19 +291,8 @@ def eval_t4(inst: BoundInstance, scan_excludes_zero: bool = False) -> BoundRepor
         notes.append("lower bound -inf (zero amplitude in scan): vacuously holds")
     upper = 2.0 * math.log(spread * hi_amp, base)
     ln_gamma = log_negativity(inst.gamma.schmidt, base)
-    margins = (ln_gamma - lower, upper - ln_gamma)
-    return BoundReport(
-        "T4",
-        lower_lhs=lower,
-        lower_rhs=ln_gamma,
-        upper_lhs=ln_gamma,
-        upper_rhs=upper,
-        margin_lower=margins[0],
-        margin_upper=margins[1],
-        holds=_holds(margins),
-        orthogonal=inst.orthogonal,
-        snapshot=snapshot_of_instance(inst, "T4", scan_excludes_zero=scan_excludes_zero),
-        notes=tuple(notes),
+    return _report(
+        "T4", inst, ln_gamma, lower, upper, notes, scan_excludes_zero=scan_excludes_zero
     )
 
 
@@ -317,20 +318,7 @@ def eval_t5(inst: BoundInstance) -> BoundReport:
     lower = (math.log(3.0) + 2.0 * delta * math.log(ab)) / (1.0 - delta) + renyi_entropy(
         inst.psi_schmidt, delta
     ) + renyi_entropy(inst.phi_schmidt, delta)
-    s_gamma = renyi_entropy(inst.gamma.schmidt, delta)
-    margins = (s_gamma - lower,)
-    return BoundReport(
-        "T5",
-        lower_lhs=lower,
-        lower_rhs=s_gamma,
-        upper_lhs=None,
-        upper_rhs=None,
-        margin_lower=margins[0],
-        margin_upper=None,
-        holds=_holds(margins),
-        orthogonal=inst.orthogonal,
-        snapshot=snapshot_of_instance(inst, "T5"),
-    )
+    return _report("T5", inst, renyi_entropy(inst.gamma.schmidt, delta), lower)
 
 
 def eval_t6(inst: BoundInstance, scan_excludes_zero: bool = False) -> BoundReport:
@@ -366,19 +354,8 @@ def eval_t6(inst: BoundInstance, scan_excludes_zero: bool = False) -> BoundRepor
     if lower > upper:
         notes.append("bound sides cross: prefactor 2*delta/(1-delta) is negative")
     s_gamma = renyi_entropy(inst.gamma.schmidt, delta)
-    margins = (s_gamma - lower, upper - s_gamma)
-    return BoundReport(
-        "T6",
-        lower_lhs=lower,
-        lower_rhs=s_gamma,
-        upper_lhs=s_gamma,
-        upper_rhs=upper,
-        margin_lower=margins[0],
-        margin_upper=margins[1],
-        holds=_holds(margins),
-        orthogonal=inst.orthogonal,
-        snapshot=snapshot_of_instance(inst, "T6", scan_excludes_zero=scan_excludes_zero),
-        notes=tuple(notes),
+    return _report(
+        "T6", inst, s_gamma, lower, upper, notes, scan_excludes_zero=scan_excludes_zero
     )
 
 
@@ -389,19 +366,7 @@ def eval_t7(inst: BoundInstance) -> BoundReport:
         inst.alpha * math.sqrt(entropy_of_entanglement(inst.psi_schmidt) + 1.0)
         + inst.beta * math.sqrt(entropy_of_entanglement(inst.phi_schmidt) + 1.0)
     ) ** 2
-    margins = (upper - e_gamma,)
-    return BoundReport(
-        "T7",
-        lower_lhs=None,
-        lower_rhs=None,
-        upper_lhs=e_gamma,
-        upper_rhs=upper,
-        margin_lower=None,
-        margin_upper=margins[0],
-        holds=_holds(margins),
-        orthogonal=inst.orthogonal,
-        snapshot=snapshot_of_instance(inst, "T7"),
-    )
+    return _report("T7", inst, e_gamma, upper=upper)
 
 
 def _xlog2(x: float) -> float:
@@ -421,20 +386,8 @@ def eval_t8(inst: BoundInstance) -> BoundReport:
     a, b = inst.alpha, inst.beta
     upper = a * e_psi + b * e_phi - _xlog2(a) - _xlog2(b)
     alt = a * a * e_psi + b * b * e_phi - _xlog2(a * a) - _xlog2(b * b)
-    margins = (upper - e_gamma,)
-    return BoundReport(
-        "T8",
-        lower_lhs=None,
-        lower_rhs=None,
-        upper_lhs=e_gamma,
-        upper_rhs=upper,
-        margin_lower=None,
-        margin_upper=margins[0],
-        holds=_holds(margins),
-        orthogonal=inst.orthogonal,
-        snapshot=snapshot_of_instance(inst, "T8"),
-        notes=(f"alternative squared-weight reading gives upper {alt!r}",),
-    )
+    notes = (f"alternative squared-weight reading gives upper {alt!r}",)
+    return _report("T8", inst, e_gamma, upper=upper, notes=notes)
 
 
 def eval_t9(inst: BoundInstance, scan_excludes_zero: bool = False) -> BoundReport:
@@ -448,44 +401,10 @@ def eval_t9(inst: BoundInstance, scan_excludes_zero: bool = False) -> BoundRepor
     e_gamma = entropy_of_entanglement(inst.gamma.schmidt)
     upper = 2.0 * math.log2(3.0 * (inst.alpha + inst.beta)) * hi_amp
     alt = 2.0 * math.log2(3.0) * (inst.alpha + inst.beta) * hi_amp
-    margins = (upper - e_gamma,)
-    return BoundReport(
-        "T9",
-        lower_lhs=None,
-        lower_rhs=None,
-        upper_lhs=e_gamma,
-        upper_rhs=upper,
-        margin_lower=None,
-        margin_upper=margins[0],
-        holds=_holds(margins),
-        orthogonal=inst.orthogonal,
-        snapshot=snapshot_of_instance(inst, "T9", scan_excludes_zero=scan_excludes_zero),
-        notes=(f"alternative parse (log2 3)*(alpha+beta) gives upper {alt!r}",),
+    notes = (f"alternative parse (log2 3)*(alpha+beta) gives upper {alt!r}",)
+    return _report(
+        "T9", inst, e_gamma, upper=upper, notes=notes, scan_excludes_zero=scan_excludes_zero
     )
-
-
-def eval_negativity_bounds(
-    inst: BoundInstance, scan_excludes_zero: bool = False
-) -> tuple[BoundReport, BoundReport]:
-    return eval_t1(inst), eval_t2(inst, scan_excludes_zero)
-
-
-def eval_logneg_bounds(
-    inst: BoundInstance, scan_excludes_zero: bool = False
-) -> tuple[BoundReport, BoundReport]:
-    return eval_t3(inst), eval_t4(inst, scan_excludes_zero)
-
-
-def eval_renyi_bounds(
-    inst: BoundInstance, scan_excludes_zero: bool = False
-) -> tuple[BoundReport, BoundReport]:
-    return eval_t5(inst), eval_t6(inst, scan_excludes_zero)
-
-
-def eval_entropy_bounds(
-    inst: BoundInstance, scan_excludes_zero: bool = False
-) -> tuple[BoundReport, BoundReport, BoundReport]:
-    return eval_t7(inst), eval_t8(inst), eval_t9(inst, scan_excludes_zero)
 
 
 def eval_chain_inequality(inst_a: BoundInstance, inst_b: BoundInstance) -> BoundReport:
@@ -519,8 +438,7 @@ def eval_chain_inequality(inst_a: BoundInstance, inst_b: BoundInstance) -> Bound
         0.5 * (pref * max(ap[0], bp[0]) ** 2 - 1.0),
         0.5 * (pref * min(a[0], b[0]) ** 2 - 1.0),
     )
-    margins = tuple(terms[i + 1] - terms[i] for i in range(5))
-    notes = [
+    notes = (
         _NEGATIVITY_NOTE,
         "literal transcription: coefficient terms square the squared Schmidt "
         "coefficients; the reading consistent with the amplitude-scan bound "
@@ -528,38 +446,19 @@ def eval_chain_inequality(inst_a: BoundInstance, inst_b: BoundInstance) -> Bound
         "middle terms read as min/max of the two negativities",
         "final link compares max(primed first coefficients) against "
         "min(unprimed first coefficients), as written",
-    ]
-    for i, m in enumerate(margins):
-        if m < -MARGIN_TOL:
-            notes.append(f"link {i + 1} fails under the literal reading")
-    return BoundReport(
-        "Chain11",
-        lower_lhs=None,
-        lower_rhs=None,
-        upper_lhs=None,
-        upper_rhs=None,
-        margin_lower=None,
-        margin_upper=None,
-        holds=_holds(margins),
-        orthogonal=inst_a.orthogonal and inst_b.orthogonal,
-        snapshot=snapshot_of_instance(inst_a, "Chain11", second=inst_b),
-        notes=tuple(notes),
-        chain_terms=terms,
-        chain_margins=margins,
     )
+    return _report("Chain11", inst_a, notes=notes, second=inst_b, chain_terms=terms)
 
 
 def replay_certificate(certificate: dict) -> BoundReport:
     """Re-evaluate a certificate's snapshot; margins must reproduce exactly."""
     snap = certificate["snapshot"] if "snapshot" in certificate else certificate
-    theorem = snap["theorem"]
-    inst = instance_from_snapshot(snap)
-    if theorem == "Chain11":
-        return eval_chain_inequality(inst, second_instance_from_snapshot(snap))
-    scan = bool(snap.get("scan_excludes_zero", False))
-    if theorem in ("T2", "T4", "T6", "T9"):
-        return _EVALUATORS[theorem](inst, scan)
-    return _EVALUATORS[theorem](inst)
+    return evaluate(
+        snap["theorem"],
+        instance_from_snapshot(snap),
+        second_instance_from_snapshot(snap),
+        bool(snap.get("scan_excludes_zero", False)),
+    )
 
 
 _EVALUATORS = {
@@ -573,6 +472,26 @@ _EVALUATORS = {
     "T8": eval_t8,
     "T9": eval_t9,
 }
+
+
+def evaluate(
+    theorem: str,
+    inst: BoundInstance,
+    second: BoundInstance | None = None,
+    scan_excludes_zero: bool = False,
+) -> BoundReport:
+    """Evaluate one bound of ``THEOREM_ORDER`` on ``inst``.
+
+    Only the amplitude-scan bounds take the zero-exclusion flag; the chain
+    needs the second instance (the snapshot's primed blocks).
+    """
+    if theorem == "Chain11":
+        if second is None:
+            raise PreconditionError("chain evaluation needs psi_prime/phi_prime blocks")
+        return eval_chain_inequality(inst, second)
+    if theorem in ("T2", "T4", "T6", "T9"):
+        return _EVALUATORS[theorem](inst, scan_excludes_zero)
+    return _EVALUATORS[theorem](inst)
 
 
 @dataclass(frozen=True)
@@ -694,20 +613,9 @@ def survey_bounds(
         inst2 = BoundInstance.build(
             SuperpositionSpec(alpha, beta, psi2, phi2), delta, log_base
         )
-        reports = [
-            eval_t1(inst),
-            eval_t2(inst, scan_excludes_zero),
-            eval_t3(inst),
-            eval_t4(inst, scan_excludes_zero),
-            eval_t5(inst),
-            eval_t6(inst, scan_excludes_zero),
-            eval_t7(inst),
-            eval_t8(inst),
-            eval_t9(inst, scan_excludes_zero),
-            eval_chain_inequality(inst, inst2),
-        ]
-        for report in reports:
-            entry = counts[report.theorem]
+        for theorem in THEOREM_ORDER:
+            report = evaluate(theorem, inst, inst2, scan_excludes_zero)
+            entry = counts[theorem]
             entry[0] += 1
             entry[1] += int(report.holds)
             worst = report.worst_margin()

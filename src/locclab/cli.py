@@ -18,11 +18,10 @@ from pathlib import Path
 from .bounds import (
     THEOREM_ORDER,
     BoundReport,
-    eval_chain_inequality,
+    evaluate,
     instance_from_snapshot,
     second_instance_from_snapshot,
     survey_bounds,
-    _EVALUATORS,
 )
 from .majorization import classify_pair
 from .measures import MEASURE_KINDS, RENYI, compute_measure
@@ -167,27 +166,21 @@ def _report_pairs(report: BoundReport) -> list[tuple]:
 
 
 def _bounds_instance(args, theorems: list[str]) -> int:
-    doc = json.loads(Path(args.instance).read_text())
-    snap = doc.get("snapshot", doc)
+    snap = json.loads(Path(args.instance).read_text())
+    if isinstance(snap, dict):
+        snap = snap.get("snapshot", snap)
     if not isinstance(snap, dict):
         raise ValueError("instance file must contain a JSON object")
-    if args.delta is not None:
-        snap = {**snap, "delta": args.delta}
-    snap.setdefault("delta", None)
     snap = {**snap, "log_base": args.base if args.base is not None else snap.get("log_base", 2.0)}
+    if args.delta is not None:
+        snap["delta"] = args.delta
     inst = instance_from_snapshot(snap)
+    second = second_instance_from_snapshot(snap)
     explicit = args.theorems is not None
     blocks = []
     for theorem in theorems:
         try:
-            if theorem == "Chain11":
-                if "psi_prime" not in snap:
-                    raise PreconditionError("chain evaluation needs psi_prime/phi_prime blocks")
-                report = eval_chain_inequality(inst, second_instance_from_snapshot(snap))
-            elif theorem in ("T2", "T4", "T6", "T9"):
-                report = _EVALUATORS[theorem](inst, args.scan_exclude_zeros)
-            else:
-                report = _EVALUATORS[theorem](inst)
+            report = evaluate(theorem, inst, second, args.scan_exclude_zeros)
         except PreconditionError:
             if explicit:
                 raise
@@ -267,6 +260,8 @@ def _cmd_bounds(args) -> int:
 def _cmd_tables(args) -> int:
     if args.seed is None:
         raise ValueError("randomized runs require an explicit --seed")
+    if args.max_certs is not None and args.max_certs < 0:
+        raise ValueError("--max-certs must be non-negative")
     if args.rows is not None:
         rows = load_scenario_rows(Path(args.rows).read_text())
     else:

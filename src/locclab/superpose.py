@@ -120,15 +120,3 @@ def superpose(spec: SuperpositionSpec) -> SuperpositionResult:
         )
         state = PureState.matrix(rows)
     return SuperpositionResult(state, schmidt_of_state(state), ov, k)
-
-
-def superpose_pair_for_case(
-    spec_a: SuperpositionSpec, spec_b: SuperpositionSpec
-) -> tuple[SuperpositionResult, SuperpositionResult]:
-    """Evaluate two superpositions independently, as one scenario pair.
-
-    Scenario rows compare the two results; sharing a component between the
-    specs (the shared-phi cases) is expressed by passing the same state
-    object in both.
-    """
-    return superpose(spec_a), superpose(spec_b)

@@ -15,12 +15,9 @@ import locclab.cli as cli
 from conftest import mixed_from, sorted_simplex
 from formula_oracle import compare_report, oracle_sides
 from locclab.bounds import (
+    THEOREM_ORDER,
     BoundInstance,
-    eval_chain_inequality,
-    eval_entropy_bounds,
-    eval_logneg_bounds,
-    eval_negativity_bounds,
-    eval_renyi_bounds,
+    evaluate,
     replay_certificate,
     survey_bounds,
 )
@@ -250,14 +247,8 @@ def test_criterion_08_bound_evaluator_oracle():
         inst2 = BoundInstance.build(
             SuperpositionSpec(alpha, beta, states[2], states[3]), delta
         )
-        reports = [
-            *eval_negativity_bounds(inst),
-            *eval_logneg_bounds(inst),
-            *eval_renyi_bounds(inst),
-            *eval_entropy_bounds(inst),
-            eval_chain_inequality(inst, inst2),
-        ]
-        for report in reports:
+        for theorem in THEOREM_ORDER:
+            report = evaluate(theorem, inst, inst2)
             worst = max(worst, compare_report(report, oracle_sides(report.snapshot)))
 
     survey = survey_bounds(RandomSource(80809), 1000, delta=2.0)

@@ -7,17 +7,19 @@ import pytest
 from conftest import sorted_simplex
 from formula_oracle import compare_report, oracle_sides
 from locclab.bounds import (
+    THEOREM_ORDER,
     BoundInstance,
     eval_chain_inequality,
-    eval_entropy_bounds,
-    eval_logneg_bounds,
-    eval_negativity_bounds,
-    eval_renyi_bounds,
     eval_t1,
+    eval_t2,
     eval_t3,
+    eval_t4,
+    eval_t5,
     eval_t6,
     eval_t7,
     eval_t8,
+    eval_t9,
+    evaluate,
     instance_from_snapshot,
     replay_certificate,
     second_instance_from_snapshot,
@@ -66,7 +68,7 @@ class TestNegativityBounds:
         assert eval_t1(inst).margin_lower == 0.0
 
     def test_t2_amplitude_scan_brackets(self, split_instance):
-        _, t2 = eval_negativity_bounds(split_instance)
+        t2 = eval_t2(split_instance)
         # min over pooled amplitudes is 0, max is 1, prefactor 9*2
         assert t2.lower_lhs == pytest.approx(-0.5, abs=1e-12)
         assert t2.upper_rhs == pytest.approx(8.5, abs=1e-12)
@@ -74,11 +76,9 @@ class TestNegativityBounds:
 
     def test_t2_needs_three_by_three(self, intro_instance):
         with pytest.raises(PreconditionError, match="3x3"):
-            eval_negativity_bounds(intro_instance)
+            eval_t2(intro_instance)
 
     def test_t2_zero_exclusion_flag(self, split_instance):
-        from locclab.bounds import eval_t2
-
         default = eval_t2(split_instance)
         trimmed = eval_t2(split_instance, scan_excludes_zero=True)
         assert default.lower_lhs == pytest.approx(-0.5, abs=1e-12)
@@ -101,7 +101,7 @@ class TestLogNegativityBounds:
             eval_t3(inst)
 
     def test_t4_vacuous_lower_and_finite_upper(self, split_instance):
-        _, t4 = eval_logneg_bounds(split_instance)
+        t4 = eval_t4(split_instance)
         assert t4.lower_lhs == -math.inf
         assert t4.margin_lower == math.inf
         assert t4.upper_rhs == pytest.approx(4.169925001442312, abs=1e-12)
@@ -112,7 +112,7 @@ class TestLogNegativityBounds:
 
 class TestRenyiBounds:
     def test_t5_direct_evaluation(self, split_instance):
-        t5, _ = eval_renyi_bounds(split_instance)
+        t5 = eval_t5(split_instance)
         expected_lower = (
             math.log(3.0 * 0.5**4) / (1.0 - 2.0)
             + math.log(0.36 + 0.16) / (1.0 - 2.0)
@@ -122,7 +122,7 @@ class TestRenyiBounds:
         assert t5.lower_rhs == pytest.approx(0.967584026261706, abs=1e-12)
 
     def test_t6_crossed_interval_above_order_one(self, split_instance):
-        _, t6 = eval_renyi_bounds(split_instance)
+        t6 = eval_t6(split_instance)
         assert t6.lower_lhs == pytest.approx(3.218875824868201, abs=1e-12)
         assert t6.upper_rhs == pytest.approx(1.386294361119891, abs=1e-12)
         assert t6.lower_rhs == pytest.approx(0.967584026261706, abs=1e-12)
@@ -148,13 +148,15 @@ class TestRenyiBounds:
 
     def test_order_one_rejected(self, split_instance):
         inst = instance(S2, (0.6, 0.4, 0.0), (0.0, 0.0, 1.0), delta=1.0)
-        with pytest.raises(PreconditionError, match="order 1"):
-            eval_renyi_bounds(inst)
+        for theorem in ("T5", "T6"):
+            with pytest.raises(PreconditionError, match="order 1"):
+                evaluate(theorem, inst)
 
     def test_missing_order_rejected(self):
         inst = instance(S2, (0.6, 0.4, 0.0), (0.0, 0.0, 1.0))
-        with pytest.raises(PreconditionError, match="order"):
-            eval_renyi_bounds(inst)
+        for theorem in ("T5", "T6"):
+            with pytest.raises(PreconditionError, match="order"):
+                evaluate(theorem, inst)
 
 
 class TestEntropyBounds:
@@ -199,7 +201,7 @@ class TestEntropyBounds:
         assert t8.holds
 
     def test_t9_parse_and_alternative(self, split_instance):
-        _, _, t9 = eval_entropy_bounds(split_instance)
+        t9 = eval_t9(split_instance)
         assert t9.upper_rhs == pytest.approx(4.169925001442312, abs=1e-12)
         assert any("4.482950928745271" in note for note in t9.notes)
 
@@ -216,6 +218,10 @@ class TestChain:
         other = instance(0.5, (0.6, 0.4, 0.0), (0.0, 0.0, 1.0))
         with pytest.raises(PreconditionError, match="equal weights"):
             eval_chain_inequality(split_instance, other)
+
+    def test_missing_second_instance_rejected(self, split_instance):
+        with pytest.raises(PreconditionError, match="psi_prime"):
+            evaluate("Chain11", split_instance)
 
     def test_failing_links_are_flagged(self, np_gen):
         flagged = 0
@@ -245,14 +251,8 @@ class TestEvaluatorOracle:
             ]
             inst = instance(alpha, triples[0], triples[1], delta=2.0)
             inst2 = instance(alpha, triples[2], triples[3], delta=2.0)
-            reports = [
-                *eval_negativity_bounds(inst),
-                *eval_logneg_bounds(inst),
-                *eval_renyi_bounds(inst),
-                *eval_entropy_bounds(inst),
-                eval_chain_inequality(inst, inst2),
-            ]
-            for report in reports:
+            for theorem in THEOREM_ORDER:
+                report = evaluate(theorem, inst, inst2)
                 sides = oracle_sides(report.snapshot)
                 worst = max(worst, compare_report(report, sides))
         assert worst <= 1e-12
@@ -298,11 +298,20 @@ class TestSurvey:
         ]
         assert all(t.evaluated == 50 for t in survey.tallies)
 
-    def test_certificates_replay_to_identical_margins(self):
-        survey = survey_bounds(RandomSource(31), 200, delta=2.0)
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"delta": 2.0},
+            {"delta": 0.5, "scan_excludes_zero": True, "orthogonal_only": True},
+            {"delta": 2.0, "orthogonal_only": True},
+        ],
+        ids=["default", "scan_excludes_zero", "orthogonal_only"],
+    )
+    def test_certificates_replay_to_identical_margins(self, options):
+        survey = survey_bounds(RandomSource(31), 200, **options)
         certs = survey.certificates()
         assert certs, "expected at least one violation at this sample size"
-        for cert in certs[:40]:
+        for cert in certs:
             replayed = replay_certificate(cert)
             assert list(replayed.margins()) == cert["margins"]
             assert replayed.holds == cert["holds"]

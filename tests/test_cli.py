@@ -215,6 +215,35 @@ class TestCli:
         path.write_text(json.dumps(doc))
         assert cli.run(["bounds", "--instance", str(path), "--theorems", "t2"]) == 2
 
+    @pytest.mark.parametrize(
+        "doc,match",
+        [
+            ([1, 2, 3], "JSON object"),
+            ({"snapshot": [1, 2, 3]}, "JSON object"),
+            ({"beta": 1.0, "psi": {"form": "vector", "amplitudes": [1.0]}}, "alpha, phi"),
+            ({"alpha": 1.0, "beta": 0.0}, "psi, phi"),
+            ({"alpha": 1.0, "beta": 0.0, "psi": [1.0], "phi": [1.0]}, "JSON object"),
+            (
+                {
+                    "alpha": 1.0,
+                    "beta": 0.0,
+                    "psi": {"form": "vector", "amplitudes": [0.6, 0.9]},
+                    "phi": {"form": "vector", "amplitudes": [1.0, 0.0]},
+                },
+                "renormalization",
+            ),
+        ],
+        ids=[
+            "array", "array-snapshot", "missing-alpha", "missing-psi", "psi-not-object", "bad-norm"
+        ],
+    )
+    def test_bounds_malformed_instance_exits_2(self, tmp_path, capsys, doc, match):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        assert cli.run(["bounds", "--instance", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and match in err
+
     def test_bounds_certificate_replay_via_cli(self, tmp_path, capsys):
         cert_dir = tmp_path / "certs"
         assert (
@@ -244,6 +273,18 @@ class TestCli:
             ["tables", "--case", "I", "--samples", "10", "--out", str(tmp_path / "t.csv")]
         )
         assert code == 2
+
+    def test_tables_negative_max_certs_exits_2(self, tmp_path, capsys):
+        out_path = tmp_path / "t.csv"
+        code = cli.run(
+            [
+                "tables", "--case", "I", "--samples", "10", "--seed", "1",
+                "--out", str(out_path), "--max-certs", "-1",
+            ]
+        )
+        assert code == 2
+        assert "error: --max-certs" in capsys.readouterr().err
+        assert not out_path.exists()
 
     def test_tables_runs_and_writes_csv(self, tmp_path, capsys):
         out_path = tmp_path / "report.csv"

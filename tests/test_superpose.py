@@ -11,7 +11,6 @@ from locclab.superpose import (
     VanishingSuperpositionError,
     overlap,
     superpose,
-    superpose_pair_for_case,
 )
 
 S2 = 1 / math.sqrt(2)
@@ -142,7 +141,7 @@ class TestSuperpose:
 class TestSuperposePair:
     def test_identical_specs_identical_results(self):
         spec = SuperpositionSpec(S2, S2, vec((0.6, 0.4, 0)), vec((0, 0, 1)))
-        first, second = superpose_pair_for_case(spec, spec)
+        first, second = superpose(spec), superpose(spec)
         assert first == second
 
     def test_shared_component_structure(self):
@@ -150,13 +149,13 @@ class TestSuperposePair:
         spec_a = SuperpositionSpec(S2, S2, vec((0.7, 0.2, 0.1)), shared_phi)
         spec_b = SuperpositionSpec(0.6, 0.8, vec((0.8, 0.15, 0.05)), shared_phi)
         assert spec_a.phi is spec_b.phi
-        first, second = superpose_pair_for_case(spec_a, spec_b)
+        first, second = superpose(spec_a), superpose(spec_b)
         assert first != second
 
     def test_mixed_dimension_pair(self):
         spec_a = SuperpositionSpec(S2, S2, vec((1, 0)), vec((0, 1)))
         spec_b = SuperpositionSpec(S2, S2, vec((0.6, 0.4, 0)), vec((0, 0, 1)))
-        first, second = superpose_pair_for_case(spec_a, spec_b)
+        first, second = superpose(spec_a), superpose(spec_b)
         assert first.schmidt.probs == pytest.approx((0.5, 0.5), abs=1e-12)
         # amplitudes square to (0.3, 0.2, 0.5); sorting gives the Schmidt order
         assert second.schmidt.probs == pytest.approx((0.5, 0.3, 0.2), abs=1e-12)
