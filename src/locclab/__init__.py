@@ -28,13 +28,11 @@ from .measures import (
 from .scenarios import (
     ScenarioRow,
     TableReport,
-    WitnessResult,
     check_row_conditions,
     load_default_rows,
     load_scenario_rows,
     replay_table_certificate,
     rows_for_case,
-    search_witness,
     validate_tables,
 )
 from .statefile import StateFileError, emit_state_file, parse_state_file
@@ -46,7 +44,6 @@ from .states import (
     RandomSource,
     SchmidtVector,
     make_schmidt_vector,
-    sample_schmidt_simplex,
     schmidt_of_state,
     singular_values,
 )

@@ -21,15 +21,17 @@ from .measures import (
     negativity,
     renyi_entropy,
 )
-from .statefile import state_document, state_from_document
+from .statefile import _require_number, state_document, state_from_document
 from .states import (
     VECTOR_FORM,
     PreconditionError,
     PureState,
     RandomSource,
     SchmidtVector,
-    _draw_sorted_simplex,
+    draw_sorted_simplex,
+    draw_weight,
     schmidt_of_state,
+    simplex_masses,
 )
 from .superpose import SuperpositionResult, SuperpositionSpec, superpose
 
@@ -207,12 +209,17 @@ def _instance_from_blocks(snap: dict, psi_key: str, phi_key: str) -> BoundInstan
     if missing:
         raise ValueError(f"instance document lacks {', '.join(missing)}")
     spec = SuperpositionSpec(
-        snap["alpha"],
-        snap["beta"],
+        _require_number(snap["alpha"], "alpha"),
+        _require_number(snap["beta"], "beta"),
         state_from_document(snap[psi_key]),
         state_from_document(snap[phi_key]),
     )
-    return BoundInstance.build(spec, snap.get("delta"), snap.get("log_base", 2.0))
+    delta = snap.get("delta")
+    return BoundInstance.build(
+        spec,
+        None if delta is None else _require_number(delta, "delta"),
+        _require_number(snap.get("log_base", 2.0), "log_base"),
+    )
 
 
 def instance_from_snapshot(snap: dict) -> BoundInstance:
@@ -541,21 +548,6 @@ class BoundSurvey:
         return "\n".join(lines) + "\n"
 
 
-def _draw_weight(gen) -> float:
-    while True:
-        u = float(gen.random())
-        if 0.0 < u < 1.0:
-            return u
-
-
-def _simplex_masses(gen, k: int) -> list[float]:
-    while True:
-        draws = gen.standard_exponential(k).tolist()
-        total = sum(draws)
-        if total > 0.0:
-            return [x / total for x in draws]
-
-
 def _draw_vector3(gen, orthogonal: bool) -> tuple[PureState, PureState]:
     """One component pair: sorted full-support triples, or disjoint supports.
 
@@ -564,8 +556,8 @@ def _draw_vector3(gen, orthogonal: bool) -> tuple[PureState, PureState]:
     order instead of sorted order.
     """
     if not orthogonal:
-        a = _draw_sorted_simplex(gen, 3, strict=False)
-        b = _draw_sorted_simplex(gen, 3, strict=False)
+        a = draw_sorted_simplex(gen, 3)
+        b = draw_sorted_simplex(gen, 3)
         return (
             PureState.vector([math.sqrt(x) for x in a]),
             PureState.vector([math.sqrt(x) for x in b]),
@@ -574,9 +566,9 @@ def _draw_vector3(gen, orthogonal: bool) -> tuple[PureState, PureState]:
     order = [int(i) for i in gen.permutation(3)]
     psi_amp = [0.0, 0.0, 0.0]
     phi_amp = [0.0, 0.0, 0.0]
-    for idx, mass in zip(order[:k], _simplex_masses(gen, k)):
+    for idx, mass in zip(order[:k], simplex_masses(gen, k)):
         psi_amp[idx] = math.sqrt(mass)
-    for idx, mass in zip(order[k:], _simplex_masses(gen, 3 - k)):
+    for idx, mass in zip(order[k:], simplex_masses(gen, 3 - k)):
         phi_amp[idx] = math.sqrt(mass)
     return PureState.vector(psi_amp), PureState.vector(phi_amp)
 
@@ -603,7 +595,7 @@ def survey_bounds(
     certs: dict[str, list[dict]] = {t: [] for t in THEOREM_ORDER}
     for i in range(n):
         gen = rng.derive(i).generator()
-        alpha = _draw_weight(gen)
+        alpha = draw_weight(gen)
         beta = math.sqrt(1.0 - alpha * alpha)
         psi, phi = _draw_vector3(gen, orthogonal_only)
         psi2, phi2 = _draw_vector3(gen, orthogonal_only)

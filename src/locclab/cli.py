@@ -311,18 +311,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, reads_state_files=False):
         p.add_argument("--format", choices=(KV, CSV, HUMAN), default=KV)
-        p.add_argument(
-            "--renormalize",
-            action="store_true",
-            help="accept state files whose norm deviates by more than 1e-9",
-        )
+        if reads_state_files:
+            p.add_argument(
+                "--renormalize",
+                action="store_true",
+                help="accept state files whose norm deviates by more than 1e-9",
+            )
 
     p = sub.add_parser("classify", help="comparability verdict for two states")
     p.add_argument("state_a")
     p.add_argument("state_b")
-    add_common(p)
+    add_common(p, reads_state_files=True)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("measure", help="entanglement measures of one state")
@@ -330,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measures", default=",".join(MEASURE_KINDS))
     p.add_argument("--delta", type=float, default=2.0, help="Renyi order")
     p.add_argument("--base", type=float, default=2.0, help="log base for ln")
-    add_common(p)
+    add_common(p, reads_state_files=True)
     p.set_defaults(func=_cmd_measure)
 
     p = sub.add_parser("superpose", help="superpose two states and report")
@@ -339,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--base", type=float, default=2.0)
-    add_common(p)
+    add_common(p, reads_state_files=True)
     p.set_defaults(func=_cmd_superpose)
 
     p = sub.add_parser("bounds", help="evaluate entanglement bounds")

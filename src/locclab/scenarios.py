@@ -2,9 +2,9 @@
 
 The shipped catalog (``data/table_rows.txt``) encodes, one line per row, the
 weight relation, coefficient conditions and predicted verdicts for the five
-superposition cases.  Witnesses are found by rejection sampling on the strict
-3-coefficient simplex; predicted-versus-observed statistics are aggregated
-per row, and every disagreement ships as a replayable certificate.
+superposition cases.  Each row is validated by rejection sampling on the
+strict 3-coefficient simplex; predicted-versus-observed statistics are
+aggregated per row, and every disagreement ships as a replayable certificate.
 
 Component states are sampled with strictly ordered full-support coefficients,
 so their mutual overlaps cannot vanish; the mean absolute overlap is reported
@@ -23,9 +23,12 @@ from importlib import resources
 from .majorization import ComparabilityVerdict, _classify_probs, classify_pair
 from .measures import concurrence_squared
 from .states import (
+    MAX_DRAW_ATTEMPTS,
+    PreconditionError,
     PureState,
     RandomSource,
-    _draw_sorted_simplex,
+    draw_sorted_simplex,
+    draw_weight,
 )
 from .superpose import SuperpositionSpec, superpose
 
@@ -161,17 +164,6 @@ class ObservedOutcome:
     overlap_gamma_prime: float
     permuted_gamma: bool
     permuted_gamma_prime: bool
-
-
-@dataclass(frozen=True)
-class WitnessResult:
-    found: bool
-    row_key: str
-    samples_tried: int
-    instance: ScenarioInstance | None = None
-    outcome: ObservedOutcome | None = None
-    predicted_pair: str | None = None
-    predicted_order: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +329,8 @@ def _condition_holds(cond, inst: ScenarioInstance) -> bool:
     return _compare(amp * amp, cond.op, 0.5)
 
 
-def _weight_relation_holds(relation: str, inst: ScenarioInstance) -> bool:
-    da = inst.alpha - inst.alphap
-    db = inst.beta - inst.betap
+def _weight_relation_holds(relation: str, da: float, db: float) -> bool:
+    """The relation on ``da = alpha - alphap`` and ``db = beta - betap``."""
     if relation == WEIGHT_EQUAL:
         return abs(da) <= CONDITION_GAP and abs(db) <= CONDITION_GAP
     if relation == WEIGHT_ALPHA_GT:
@@ -380,7 +371,9 @@ def check_row_conditions(row: ScenarioRow, inst: ScenarioInstance) -> bool:
     for triple in (inst.psi, inst.phi, inst.psip, inst.phip):
         if len(triple) != 3:
             raise ValueError(f"row {row.key} needs 3-coefficient components")
-    if not _weight_relation_holds(row.weight_relation, inst):
+    if not _weight_relation_holds(
+        row.weight_relation, inst.alpha - inst.alphap, inst.beta - inst.betap
+    ):
         return False
     if not _case_preconditions_hold(row.case, inst):
         return False
@@ -394,30 +387,24 @@ def check_row_conditions(row: ScenarioRow, inst: ScenarioInstance) -> bool:
 
 
 def _draw_weight_pair(gen, relation: str) -> tuple[float, float, float, float]:
-    if relation == WEIGHT_EQUAL:
-        while True:
-            u = float(gen.random())
-            if 0.0 < u < 1.0:
-                beta = math.sqrt(1.0 - u * u)
-                return u, beta, u, beta
-    while True:
-        u1 = float(gen.random())
-        u2 = float(gen.random())
-        if not (0.0 < u1 < 1.0 and 0.0 < u2 < 1.0):
-            continue
+    for _ in range(MAX_DRAW_ATTEMPTS):
+        u1 = draw_weight(gen)
+        u2 = u1 if relation == WEIGHT_EQUAL else draw_weight(gen)
         b1 = math.sqrt(1.0 - u1 * u1)
         b2 = math.sqrt(1.0 - u2 * u2)
-        trial = ScenarioInstance(u1, b1, u2, b2, (1.0,), (1.0,), (1.0,), (1.0,), False)
-        if _weight_relation_holds(relation, trial):
+        if _weight_relation_holds(relation, u1 - u2, b1 - b2):
             return u1, b1, u2, b2
+    raise PreconditionError(
+        f"no weights with relation {relation!r} in {MAX_DRAW_ATTEMPTS} attempts"
+    )
 
 
 def _sample_instance(row: ScenarioRow, gen) -> ScenarioInstance:
     alpha, beta, alphap, betap = _draw_weight_pair(gen, row.weight_relation)
-    psi = _draw_sorted_simplex(gen, 3, strict=True)
-    psip = _draw_sorted_simplex(gen, 3, strict=True)
-    phi = _draw_sorted_simplex(gen, 3, strict=True)
-    phip = phi if row.shared_phi else _draw_sorted_simplex(gen, 3, strict=True)
+    psi = draw_sorted_simplex(gen, 3, strict=True)
+    psip = draw_sorted_simplex(gen, 3, strict=True)
+    phi = draw_sorted_simplex(gen, 3, strict=True)
+    phip = phi if row.shared_phi else draw_sorted_simplex(gen, 3, strict=True)
     return ScenarioInstance(alpha, beta, alphap, betap, psi, phi, psip, phip, row.shared_phi)
 
 
@@ -466,31 +453,6 @@ def _row_source(rng: RandomSource, row: ScenarioRow) -> RandomSource:
     # Stable per-row derivation: identical draws whether the row is validated
     # alone or as part of a catalog sweep.
     return rng.derive(zlib.crc32(row.key.encode()))
-
-
-def search_witness(row: ScenarioRow, budget: int, rng: RandomSource) -> WitnessResult:
-    """Rejection-sample until the row's regime is hit or the budget runs out.
-
-    Each attempt draws from its own sub-stream, so the result is a pure
-    function of (row, budget, rng).  Not finding a witness is a result, not
-    an error.
-    """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    source = _row_source(rng, row)
-    for i in range(budget):
-        inst = _sample_instance(row, source.derive(i).generator())
-        if check_row_conditions(row, inst):
-            return WitnessResult(
-                found=True,
-                row_key=row.key,
-                samples_tried=i + 1,
-                instance=inst,
-                outcome=observe_instance(inst),
-                predicted_pair=row.predicted_pair,
-                predicted_order=row.predicted_order,
-            )
-    return WitnessResult(found=False, row_key=row.key, samples_tried=budget)
 
 
 # ---------------------------------------------------------------------------

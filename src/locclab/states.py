@@ -4,7 +4,7 @@ Everything downstream (comparability checks, measures, superposition, bound
 surveys) works on the two value types defined here.  All types are immutable
 after construction and all operations are pure functions, so they are safe to
 share across threads; randomness is always routed through an explicit
-:class:`RandomSource`.
+:class:`RandomSource`, and every simplex and weight draw is made here.
 """
 
 from __future__ import annotations
@@ -21,6 +21,10 @@ STRICT_GAP = 1e-6
 
 VECTOR_FORM = "vector"
 MATRIX_FORM = "matrix"
+
+# Cap on the redraws of every rejection loop in the package; reaching it
+# raises PreconditionError instead of hanging.
+MAX_DRAW_ATTEMPTS = 10_000
 
 # Off-diagonal convergence threshold for the one-sided Jacobi sweep.
 _JACOBI_TOL = 1e-13
@@ -225,39 +229,51 @@ class RandomSource:
         return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=key))
 
 
-def _draw_sorted_simplex(gen: np.random.Generator, d: int, strict: bool) -> tuple[float, ...]:
-    """One uniform draw from the d-simplex, sorted non-increasing.
+def simplex_masses(gen: np.random.Generator, d: int) -> list[float]:
+    """One uniform draw from the d-simplex, in draw order (flat Dirichlet law).
 
-    Normalized exponentials give the flat Dirichlet law; with ``strict`` the
-    draw is rejected until all entries are at least ``STRICT_GAP`` and
-    pairwise gaps are at least ``STRICT_GAP``.
+    Normalized standard exponentials; an all-zero draw is redrawn.
     """
-    while True:
+    for _ in range(MAX_DRAW_ATTEMPTS):
         draws = gen.standard_exponential(d).tolist()
         total = sum(draws)
-        if total <= 0.0:
-            continue
-        p = sorted((x / total for x in draws), reverse=True)
-        if not strict:
-            return tuple(p)
-        if p[-1] >= STRICT_GAP and all(
-            p[i] - p[i + 1] >= STRICT_GAP for i in range(d - 1)
-        ):
-            return tuple(p)
+        if total > 0.0:
+            return [x / total for x in draws]
+    raise PreconditionError(f"no positive {d}-simplex draw in {MAX_DRAW_ATTEMPTS} attempts")
 
 
-def sample_schmidt_simplex(d: int, rng: RandomSource, strict: bool = False) -> SchmidtVector:
-    """Uniform draw from the probability simplex of dimension ``d``, sorted.
+def draw_sorted_simplex(
+    gen: np.random.Generator, d: int, strict: bool = False
+) -> tuple[float, ...]:
+    """One uniform draw from the d-simplex, sorted non-increasing.
 
-    Deterministic in ``rng``: the same source yields the same vector, so
-    callers wanting many draws derive one sub-source per sample.  ``strict``
-    enforces pairwise-distinct, strictly positive entries (gap ``STRICT_GAP``),
-    the regime in which the three-coefficient incomparability shortcut is
-    stated.
+    With ``strict`` the draw is rejected until all entries are at least
+    ``STRICT_GAP`` and pairwise gaps are at least ``STRICT_GAP``, the regime
+    in which the three-coefficient incomparability shortcut is stated.  Large
+    ``d`` makes strict draws rare (none at ``d = 300``), so the redraws are
+    capped.
     """
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    return SchmidtVector(_draw_sorted_simplex(rng.generator(), d, strict))
+    for _ in range(MAX_DRAW_ATTEMPTS):
+        p = simplex_masses(gen, d)
+        p.sort(reverse=True)
+        if not strict or (
+            p[-1] >= STRICT_GAP and all(a - b >= STRICT_GAP for a, b in zip(p, p[1:]))
+        ):
+            return tuple(p)
+    raise PreconditionError(
+        f"no strict {d}-simplex draw with gap {STRICT_GAP} in {MAX_DRAW_ATTEMPTS} attempts"
+    )
+
+
+def draw_weight(gen: np.random.Generator) -> float:
+    """One uniform weight in the open interval (0, 1)."""
+    for _ in range(MAX_DRAW_ATTEMPTS):
+        u = float(gen.random())
+        if 0.0 < u < 1.0:
+            return u
+    raise PreconditionError(f"no weight in (0, 1) in {MAX_DRAW_ATTEMPTS} attempts")
 
 
 def _one_sided_jacobi(work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -17,6 +17,14 @@ def vec(probs):
     return PureState.vector([math.sqrt(p) for p in probs])
 
 
+GOOD_INSTANCE = {
+    "alpha": 1.0,
+    "beta": 0.0,
+    "psi": {"form": "vector", "amplitudes": [1.0, 0.0]},
+    "phi": {"form": "vector", "amplitudes": [0.0, 1.0]},
+}
+
+
 class TestStateFiles:
     def test_point_mass_vector(self):
         state = parse_state_file('{"version": 1, "form": "vector", "amplitudes": [1, 0, 0]}')
@@ -232,9 +240,14 @@ class TestCli:
                 },
                 "renormalization",
             ),
+            ({**GOOD_INSTANCE, "alpha": [1]}, "alpha: expected a number"),
+            ({**GOOD_INSTANCE, "alpha": None}, "alpha: expected a number"),
+            ({**GOOD_INSTANCE, "delta": [1]}, "delta: expected a number"),
+            ({**GOOD_INSTANCE, "log_base": "2"}, "log_base: expected a number"),
         ],
         ids=[
-            "array", "array-snapshot", "missing-alpha", "missing-psi", "psi-not-object", "bad-norm"
+            "array", "array-snapshot", "missing-alpha", "missing-psi", "psi-not-object", "bad-norm",
+            "alpha-list", "alpha-null", "delta-list", "log-base-string",
         ],
     )
     def test_bounds_malformed_instance_exits_2(self, tmp_path, capsys, doc, match):
@@ -267,6 +280,22 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "holds = false" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--random", "5", "--seed", "1"],
+            ["tables", "--case", "I", "--samples", "5", "--seed", "1"],
+        ],
+        ids=["bounds", "tables"],
+    )
+    def test_renormalize_rejected_without_state_files(self, tmp_path, capsys, argv):
+        out_path = tmp_path / "t.csv"
+        if argv[0] == "tables":
+            argv = argv + ["--out", str(out_path)]
+        assert cli.run(argv + ["--renormalize"]) == 2
+        assert "--renormalize" in capsys.readouterr().err
+        assert not out_path.exists()
 
     def test_tables_requires_seed(self, tmp_path, capsys):
         code = cli.run(

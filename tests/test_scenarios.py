@@ -15,7 +15,6 @@ from locclab.scenarios import (
     observe_instance,
     replay_table_certificate,
     rows_for_case,
-    search_witness,
     validate_tables,
 )
 from locclab.states import RandomSource
@@ -187,37 +186,6 @@ class TestCheckRowConditions:
         assert check_row_conditions(row(catalog, "3.2"), again)
 
 
-class TestSearchWitness:
-    def test_finds_unconditioned_row(self, catalog):
-        result = search_witness(row(catalog, "1.1"), 10_000, RandomSource(11))
-        assert result.found
-        assert 1 <= result.samples_tried <= 10_000
-        assert result.outcome is not None
-        assert isinstance(result.outcome.verdict, ComparabilityVerdict)
-
-    def test_deterministic(self, catalog):
-        a = search_witness(row(catalog, "1.1"), 5000, RandomSource(11))
-        b = search_witness(row(catalog, "1.1"), 5000, RandomSource(11))
-        assert a == b
-
-    def test_unsatisfiable_budget_one(self):
-        (impossible,) = load_scenario_rows("I | 1 | 99 | equal | a0 > a0 | - | - | -\n")
-        result = search_witness(impossible, 1, RandomSource(3))
-        assert not result.found
-        assert result.samples_tried == 1
-        assert result.instance is None
-
-    def test_budget_validation(self, catalog):
-        with pytest.raises(ValueError, match="budget"):
-            search_witness(row(catalog, "1.1"), 0, RandomSource(1))
-
-    def test_witness_instance_recheck(self, catalog):
-        r = row(catalog, "1.4")
-        result = search_witness(r, 30_000, RandomSource(8))
-        assert result.found
-        assert check_row_conditions(r, result.instance)
-
-
 class TestValidateTables:
     def test_report_shape_and_determinism(self, catalog):
         rows = rows_for_case(catalog, "I")
@@ -234,6 +202,12 @@ class TestValidateTables:
         full = validate_tables(rows, 400, RandomSource(1))
         only_one = validate_tables([rows[3]], 400, RandomSource(1))
         assert full.rows[3] == only_one.rows[0]
+
+    def test_unsatisfiable_row_satisfies_nothing(self):
+        (impossible,) = load_scenario_rows("I | 1 | 99 | equal | a0 > a0 | - | - | -\n")
+        report = validate_tables([impossible], 50, RandomSource(3))
+        assert report.rows[0].satisfied == 0
+        assert report.certificates() == []
 
     def test_sample_count_validation(self, catalog):
         with pytest.raises(ValueError, match="at least 1"):

@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -7,13 +8,13 @@ from hypothesis import strategies as st
 
 from locclab.states import (
     InvalidStateError,
+    PreconditionError,
     PureState,
     RandomSource,
     SchmidtVector,
-    _draw_sorted_simplex,
     _one_sided_jacobi,
+    draw_sorted_simplex,
     make_schmidt_vector,
-    sample_schmidt_simplex,
     schmidt_of_state,
     singular_values,
 )
@@ -183,49 +184,57 @@ class TestPureState:
         assert schmidt_of_state(m).probs == pytest.approx(schmidt_of_state(v).probs, abs=1e-13)
 
 
+def draw(d, rng, strict=False):
+    return draw_sorted_simplex(rng.generator(), d, strict)
+
+
 class TestSampling:
     def test_same_seed_same_vector(self):
-        a = sample_schmidt_simplex(3, RandomSource(7))
-        b = sample_schmidt_simplex(3, RandomSource(7))
-        assert a == b
+        assert draw(3, RandomSource(7)) == draw(3, RandomSource(7))
 
     def test_streams_are_independent(self):
-        a = sample_schmidt_simplex(3, RandomSource(7, 0))
-        b = sample_schmidt_simplex(3, RandomSource(7, 1))
-        assert a != b
+        assert draw(3, RandomSource(7, 0)) != draw(3, RandomSource(7, 1))
 
     def test_derivation_path_changes_draws(self):
         base = RandomSource(7)
-        assert sample_schmidt_simplex(3, base.derive(0)) != sample_schmidt_simplex(
-            3, base.derive(1)
-        )
-
-    def test_public_matches_internal_draw(self):
-        rng = RandomSource(123, 4)
-        public = sample_schmidt_simplex(5, rng, strict=True)
-        internal = _draw_sorted_simplex(rng.generator(), 5, strict=True)
-        assert public.probs == internal
+        assert draw(3, base.derive(0)) != draw(3, base.derive(1))
 
     def test_dimension_one_is_a_point(self):
-        assert sample_schmidt_simplex(1, RandomSource(0)).probs == (1.0,)
-        assert sample_schmidt_simplex(1, RandomSource(0), strict=True).probs == (1.0,)
+        assert draw(1, RandomSource(0)) == (1.0,)
+        assert draw(1, RandomSource(0), strict=True) == (1.0,)
 
     def test_zero_dimension_rejected(self):
         with pytest.raises(ValueError, match="at least 1"):
-            sample_schmidt_simplex(0, RandomSource(0))
+            draw(0, RandomSource(0))
 
     def test_strict_gaps(self):
         base = RandomSource(99)
         for i in range(300):
-            v = sample_schmidt_simplex(3, base.derive(i), strict=True).probs
+            v = draw(3, base.derive(i), strict=True)
             assert v[2] >= 1e-6
             assert v[0] - v[1] >= 1e-6 and v[1] - v[2] >= 1e-6
 
     def test_sorted_and_normalized(self):
         base = RandomSource(5)
         for i in range(200):
-            v = sample_schmidt_simplex(int(1 + i % 6), base.derive(i))
+            v = SchmidtVector(draw(int(1 + i % 6), base.derive(i)))
             assert abs(sum(v.probs) - 1.0) <= 1e-12
+
+    def test_strict_draw_cap_raises_instead_of_hanging(self):
+        # Strict draws at d = 300 are far rarer than one per MAX_DRAW_ATTEMPTS
+        # tries, so the draw must give up; the alarm turns a hang into a
+        # failure.
+        def hang(signum, frame):
+            raise AssertionError("strict draw at d = 300 still running after 30 s")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(30)
+        try:
+            with pytest.raises(PreconditionError, match="attempts"):
+                draw(300, RandomSource(1), strict=True)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_mean_of_largest_entry_matches_flat_dirichlet(self):
         # Analytic mean of the maximum at d=3 is 11/18 (checked against an
@@ -234,7 +243,7 @@ class TestSampling:
         total = 0.0
         n = 100_000
         for _ in range(n):
-            total += _draw_sorted_simplex(gen, 3, strict=False)[0]
+            total += draw_sorted_simplex(gen, 3)[0]
         assert abs(total / n - 11.0 / 18.0) < 0.01
 
     def test_seed_validation(self):
