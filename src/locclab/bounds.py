@@ -41,6 +41,8 @@ MARGIN_TOL = 1e-9
 ORTHO_TOL = 1e-9
 
 THEOREM_ORDER = ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8", "T9", "Chain11")
+# A survey keeps at most this many certificates per theorem.
+MAX_SURVEY_CERTIFICATES = 10
 
 _NEGATIVITY_NOTE = "negativity convention: (partial-transpose trace norm - 1)/2"
 
@@ -308,8 +310,8 @@ def _require_renyi_order(inst: BoundInstance, theorem: str) -> float:
     if delta is None:
         raise PreconditionError(f"{theorem} needs a Renyi order parameter")
     delta = float(delta)
-    if delta < 0.0:
-        raise PreconditionError(f"Renyi order must be non-negative, got {delta!r}")
+    if not (math.isfinite(delta) and delta >= 0.0):
+        raise PreconditionError(f"Renyi order must be finite and non-negative, got {delta!r}")
     if delta == 1.0:
         raise PreconditionError(f"{theorem} excludes Renyi order 1")
     return delta
@@ -522,18 +524,7 @@ class BoundSurvey:
     :func:`replay_certificate`.
     """
 
-    samples: int
-    orthogonal_only: bool
-    delta: float
-    log_base: float
-    scan_excludes_zero: bool
     tallies: tuple[TheoremTally, ...]
-
-    def tally(self, theorem: str) -> TheoremTally:
-        for t in self.tallies:
-            if t.theorem == theorem:
-                return t
-        raise KeyError(theorem)
 
     def certificates(self) -> list[dict]:
         return [c for t in self.tallies for c in t.certificates]
@@ -581,7 +572,6 @@ def survey_bounds(
     delta: float = 2.0,
     log_base: float = 2.0,
     scan_excludes_zero: bool = False,
-    max_certificates: int = 10,
 ) -> BoundSurvey:
     """Evaluate every bound on ``n`` sampled 3x3 instances and tally hold rates.
 
@@ -613,7 +603,7 @@ def survey_bounds(
             worst = report.worst_margin()
             if entry[2] is None or worst < entry[2]:
                 entry[2] = worst
-            if not report.holds and len(certs[report.theorem]) < max_certificates:
+            if not report.holds and len(certs[report.theorem]) < MAX_SURVEY_CERTIFICATES:
                 certs[report.theorem].append(
                     {
                         "id": f"{report.theorem}-{i:06d}",
@@ -628,4 +618,4 @@ def survey_bounds(
         TheoremTally(t, counts[t][0], counts[t][1], counts[t][2], tuple(certs[t]))
         for t in THEOREM_ORDER
     )
-    return BoundSurvey(n, orthogonal_only, delta, log_base, scan_excludes_zero, tallies)
+    return BoundSurvey(tallies)

@@ -74,6 +74,14 @@ def _print_pairs(pairs, fmt: str) -> None:
             print(f"{key} = {_fmt_value(value, fmt)}")
 
 
+def _print_blocks(blocks, fmt: str) -> None:
+    """Print several reports; a blank line separates them except in CSV."""
+    for i, pairs in enumerate(blocks):
+        if i and fmt != CSV:
+            print()
+        _print_pairs(pairs, fmt)
+
+
 def _read_state(path: str, renormalize: bool):
     return parse_state_file(Path(path).read_text(), renormalize=renormalize)
 
@@ -186,12 +194,7 @@ def _bounds_instance(args, theorems: list[str]) -> int:
                 raise
             continue  # "all": silently skip bounds the instance cannot feed
         blocks.append(_report_pairs(report))
-    first = True
-    for block in blocks:
-        if not first and args.format != CSV:
-            print()
-        _print_pairs(block, args.format)
-        first = False
+    _print_blocks(blocks, args.format)
     return EXIT_OK
 
 
@@ -220,23 +223,20 @@ def _bounds_survey(args, theorems: list[str]) -> int:
             if name in wanted:
                 print(line)
     else:
-        first = True
-        for tally in survey.tallies:
-            if tally.theorem not in wanted:
-                continue
-            if not first:
-                print()
-            first = False
-            _print_pairs(
+        _print_blocks(
+            [
                 [
                     ("theorem", tally.theorem),
                     ("n", tally.evaluated),
                     ("hold_rate", tally.hold_rate),
                     ("worst_margin", tally.worst_margin),
                     ("certificates", len(tally.certificates)),
-                ],
-                args.format,
-            )
+                ]
+                for tally in survey.tallies
+                if tally.theorem in wanted
+            ],
+            args.format,
+        )
     if args.certs:
         certs = [c for t in survey.tallies if t.theorem in wanted for c in t.certificates]
         written = _write_certificates(certs, args.certs)

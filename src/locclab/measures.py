@@ -73,8 +73,8 @@ def renyi_entropy(v: SchmidtVector, delta: float) -> float:
     support size.
     """
     delta = float(delta)
-    if delta < 0.0:
-        raise ValueError(f"Renyi order must be non-negative, got {delta!r}")
+    if not (math.isfinite(delta) and delta >= 0.0):
+        raise ValueError(f"Renyi order must be finite and non-negative, got {delta!r}")
     if delta == 1.0:
         return 0.0 + -sum(p * math.log(p) for p in v.probs if p > 0.0)
     power_sum = sum(p**delta for p in v.probs if p > 0.0)

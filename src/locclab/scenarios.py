@@ -54,6 +54,8 @@ _WEIGHT_NAMES = ("alpha", "beta", "alphap", "betap")
 _COEF_NAMES = tuple(
     f"{family}{i}" for family in ("a", "b", "ap", "bp") for i in range(3)
 )
+# Operand index of each condition name in ScenarioInstance.values.
+_NAMES = _WEIGHT_NAMES + _COEF_NAMES
 
 _HALF_RE = re.compile(
     r"^\(\s*(\w+)\s*\*\s*sqrt\(\s*(\w+)\s*\)\s*\+\s*(\w+)\s*\*\s*sqrt\(\s*(\w+)\s*\)\s*\)\s*"
@@ -67,21 +69,28 @@ class RowFormatError(ValueError):
 
 @dataclass(frozen=True)
 class ProductCompare:
-    """PRODUCT OP PRODUCT over weight powers and named coefficients."""
+    """PRODUCT OP PRODUCT over weight powers and named coefficients.
 
-    lhs: tuple[str, ...]
+    Each factor is ``(index, squared)``: an index into
+    :attr:`ScenarioInstance.values` and whether the value enters squared.
+    """
+
+    lhs: tuple[tuple[int, bool], ...]
     op: str
-    rhs: tuple[str, ...]
+    rhs: tuple[tuple[int, bool], ...]
 
 
 @dataclass(frozen=True)
 class AmplitudeHalf:
-    """(u sqrt(x) + v sqrt(y))^2 compared against one half."""
+    """(u sqrt(x) + v sqrt(y))^2 compared against one half.
 
-    u: str
-    x: str
-    v: str
-    y: str
+    ``u``, ``x``, ``v`` and ``y`` are indices into :attr:`ScenarioInstance.values`.
+    """
+
+    u: int
+    x: int
+    v: int
+    y: int
     op: str
 
 
@@ -124,6 +133,12 @@ class ScenarioInstance:
     phip: tuple[float, ...]
     shared_phi: bool
 
+    @property
+    def values(self) -> tuple[float, ...]:
+        """The operands that conditions index: the weights, then psi, phi, psip, phip."""
+        weights = (self.alpha, self.beta, self.alphap, self.betap)
+        return weights + self.psi + self.phi + self.psip + self.phip
+
     def to_doc(self) -> dict:
         return {
             "alpha": self.alpha,
@@ -162,24 +177,33 @@ class ObservedOutcome:
     order: str
     overlap_gamma: float
     overlap_gamma_prime: float
-    permuted_gamma: bool
-    permuted_gamma_prime: bool
+
+
+def _observed_doc(outcome: ObservedOutcome) -> dict:
+    """The observed fields a certificate records and a replay re-derives."""
+    return {
+        "observed_verdict": outcome.verdict.value,
+        "order": outcome.order,
+        "c2_gamma": outcome.c2_gamma,
+        "c2_gamma_prime": outcome.c2_gamma_prime,
+        "overlap_gamma": outcome.overlap_gamma,
+        "overlap_gamma_prime": outcome.overlap_gamma_prime,
+    }
 
 
 # ---------------------------------------------------------------------------
 # Row document parsing
 
 
-def _parse_factor(token: str, line_no: int) -> str:
+def _parse_factor(token: str, line_no: int) -> tuple[int, bool]:
     token = token.strip()
-    if token.endswith("^2"):
-        base = token[:-2]
-        if base not in _WEIGHT_NAMES:
-            raise RowFormatError(f"line {line_no}: only weights may be squared, got {token!r}")
-        return token
-    if token in _WEIGHT_NAMES or token in _COEF_NAMES:
-        return token
-    raise RowFormatError(f"line {line_no}: unknown factor {token!r}")
+    squared = token.endswith("^2")
+    name = token[:-2] if squared else token
+    if squared and name not in _WEIGHT_NAMES:
+        raise RowFormatError(f"line {line_no}: only weights may be squared, got {token!r}")
+    if name not in _NAMES:
+        raise RowFormatError(f"line {line_no}: unknown factor {token!r}")
+    return _NAMES.index(name), squared
 
 
 def _parse_condition(text: str, line_no: int):
@@ -193,7 +217,7 @@ def _parse_condition(text: str, line_no: int):
         for c in (x, y):
             if c not in _COEF_NAMES:
                 raise RowFormatError(f"line {line_no}: {c!r} is not a coefficient")
-        return AmplitudeHalf(u, x, v, y, op)
+        return AmplitudeHalf(*(_NAMES.index(name) for name in (u, x, v, y)), op)
     for op in ("<>", "<", ">"):
         if op in text:
             lhs_text, rhs_text = text.split(op, 1)
@@ -281,35 +305,6 @@ def rows_for_case(rows, case: str) -> list[ScenarioRow]:
 # Condition evaluation
 
 
-def _coefficient(inst: ScenarioInstance, name: str) -> float:
-    family, idx = name[:-1], int(name[-1])
-    if family == "a":
-        return inst.psi[idx]
-    if family == "b":
-        return inst.phi[idx]
-    if family == "ap":
-        return inst.psip[idx]
-    return inst.phip[idx]
-
-
-def _weight(inst: ScenarioInstance, name: str) -> float:
-    return {
-        "alpha": inst.alpha,
-        "beta": inst.beta,
-        "alphap": inst.alphap,
-        "betap": inst.betap,
-    }[name]
-
-
-def _factor_value(inst: ScenarioInstance, token: str) -> float:
-    if token.endswith("^2"):
-        w = _weight(inst, token[:-2])
-        return w * w
-    if token in _WEIGHT_NAMES:
-        return _weight(inst, token)
-    return _coefficient(inst, token)
-
-
 def _compare(lhs: float, op: str, rhs: float) -> bool:
     if op == ">":
         return lhs - rhs > CONDITION_GAP
@@ -318,18 +313,24 @@ def _compare(lhs: float, op: str, rhs: float) -> bool:
     return True  # "<>": recorded but never binding
 
 
-def _condition_holds(cond, inst: ScenarioInstance) -> bool:
+def _product(values: tuple[float, ...], factors) -> float:
+    # Left to right in the written factor order, a squared weight as w * w:
+    # the products stay bit-identical to the formula text.
+    result = 1.0
+    for index, squared in factors:
+        v = values[index]
+        result *= v * v if squared else v
+    return result
+
+
+def _condition_holds(cond, values: tuple[float, ...]) -> bool:
     if isinstance(cond, ProductCompare):
-        lhs = math.prod(_factor_value(inst, t) for t in cond.lhs)
-        rhs = math.prod(_factor_value(inst, t) for t in cond.rhs)
-        return _compare(lhs, cond.op, rhs)
-    amp = _weight(inst, cond.u) * math.sqrt(_coefficient(inst, cond.x)) + _weight(
-        inst, cond.v
-    ) * math.sqrt(_coefficient(inst, cond.y))
+        return _compare(_product(values, cond.lhs), cond.op, _product(values, cond.rhs))
+    amp = values[cond.u] * math.sqrt(values[cond.x]) + values[cond.v] * math.sqrt(values[cond.y])
     return _compare(amp * amp, cond.op, 0.5)
 
 
-def _weight_relation_holds(relation: str, da: float, db: float) -> bool:
+def _relation_holds(relation: str, da: float, db: float) -> bool:
     """The relation on ``da = alpha - alphap`` and ``db = beta - betap``."""
     if relation == WEIGHT_EQUAL:
         return abs(da) <= CONDITION_GAP and abs(db) <= CONDITION_GAP
@@ -371,14 +372,13 @@ def check_row_conditions(row: ScenarioRow, inst: ScenarioInstance) -> bool:
     for triple in (inst.psi, inst.phi, inst.psip, inst.phip):
         if len(triple) != 3:
             raise ValueError(f"row {row.key} needs 3-coefficient components")
-    if not _weight_relation_holds(
-        row.weight_relation, inst.alpha - inst.alphap, inst.beta - inst.betap
-    ):
+    if not _relation_holds(row.weight_relation, inst.alpha - inst.alphap, inst.beta - inst.betap):
         return False
     if not _case_preconditions_hold(row.case, inst):
         return False
+    values = inst.values
     return any(
-        all(_condition_holds(c, inst) for c in group) for group in row.alternatives
+        all(_condition_holds(c, values) for c in group) for group in row.alternatives
     )
 
 
@@ -392,7 +392,7 @@ def _draw_weight_pair(gen, relation: str) -> tuple[float, float, float, float]:
         u2 = u1 if relation == WEIGHT_EQUAL else draw_weight(gen)
         b1 = math.sqrt(1.0 - u1 * u1)
         b2 = math.sqrt(1.0 - u2 * u2)
-        if _weight_relation_holds(relation, u1 - u2, b1 - b2):
+        if _relation_holds(relation, u1 - u2, b1 - b2):
             return u1, b1, u2, b2
     raise PreconditionError(
         f"no weights with relation {relation!r} in {MAX_DRAW_ATTEMPTS} attempts"
@@ -438,15 +438,7 @@ def observe_instance(inst: ScenarioInstance) -> ObservedOutcome:
         order=order,
         overlap_gamma=gamma.overlap,
         overlap_gamma_prime=gamma_p.overlap,
-        permuted_gamma=_was_permuted(gamma.state),
-        permuted_gamma_prime=_was_permuted(gamma_p.state),
     )
-
-
-def _was_permuted(state: PureState) -> bool:
-    """True when sorting the squared amplitudes reordered the basis labels."""
-    amps = state.amplitudes
-    return any(amps[i] < amps[i + 1] for i in range(len(amps) - 1))
 
 
 def _row_source(rng: RandomSource, row: ScenarioRow) -> RandomSource:
@@ -461,28 +453,22 @@ def _row_source(rng: RandomSource, row: ScenarioRow) -> RandomSource:
 
 @dataclass(frozen=True)
 class RowTally:
-    case: str
-    table: str
-    row_id: str
+    row: ScenarioRow
     samples: int
     satisfied: int
-    predicted_pair: str | None
     verdict_agree: int
     verdict_disagree: int
-    predicted_order: str | None
     order_checked: int
     order_agree: int
     order_disagree: int
     order_tie: int
     mean_abs_overlap: float | None
     mean_abs_overlap_prime: float | None
-    permuted: int
     certificates: tuple[dict, ...]
 
 
 @dataclass(frozen=True)
 class TableReport:
-    samples_per_row: int
     rows: tuple[RowTally, ...]
 
     def certificates(self) -> list[dict]:
@@ -493,18 +479,19 @@ class TableReport:
             "case,table,row,samples,satisfied,predicted_pair,verdict_agree,"
             "verdict_disagree,predicted_order,order_checked,order_agree,"
             "order_disagree,order_tie,mean_abs_overlap,mean_abs_overlap_prime,"
-            "permuted,certificate_ids"
+            "certificate_ids"
         )
         lines = [header]
         for r in self.rows:
+            row = r.row
             mean1 = "" if r.mean_abs_overlap is None else repr(r.mean_abs_overlap)
             mean2 = "" if r.mean_abs_overlap_prime is None else repr(r.mean_abs_overlap_prime)
             ids = ";".join(c["id"] for c in r.certificates)
             lines.append(
-                f"{r.case},{r.table},{r.row_id},{r.samples},{r.satisfied},"
-                f"{r.predicted_pair or ''},{r.verdict_agree},{r.verdict_disagree},"
-                f"{r.predicted_order or ''},{r.order_checked},{r.order_agree},"
-                f"{r.order_disagree},{r.order_tie},{mean1},{mean2},{r.permuted},{ids}"
+                f"{row.case},{row.table},{row.row_id},{r.samples},{r.satisfied},"
+                f"{row.predicted_pair or ''},{r.verdict_agree},{r.verdict_disagree},"
+                f"{row.predicted_order or ''},{r.order_checked},{r.order_agree},"
+                f"{r.order_disagree},{r.order_tie},{mean1},{mean2},{ids}"
             )
         return "\n".join(lines) + "\n"
 
@@ -540,28 +527,7 @@ def validate_tables(
         verdict_agree = verdict_disagree = 0
         order_checked = order_agree = order_disagree = order_tie = 0
         overlap_sum = overlap_prime_sum = 0.0
-        permuted = 0
         certs: list[dict] = []
-
-        def _certificate(kind, i, inst, outcome):
-            return {
-                "id": f"{row.table}.{row.row_id}-{i:06d}",
-                "kind": kind,
-                "case": row.case,
-                "table": row.table,
-                "row": row.row_id,
-                "sample_index": i,
-                "instance": inst.to_doc(),
-                "predicted_pair": row.predicted_pair,
-                "predicted_order": row.predicted_order,
-                "observed_verdict": outcome.verdict.value,
-                "order": outcome.order,
-                "c2_gamma": outcome.c2_gamma,
-                "c2_gamma_prime": outcome.c2_gamma_prime,
-                "overlap_gamma": outcome.overlap_gamma,
-                "overlap_gamma_prime": outcome.overlap_gamma_prime,
-            }
-
         for i in range(samples_per_row):
             inst = _sample_instance(row, source.derive(i).generator())
             if not check_row_conditions(row, inst):
@@ -570,7 +536,7 @@ def validate_tables(
             outcome = observe_instance(inst)
             overlap_sum += abs(outcome.overlap_gamma)
             overlap_prime_sum += abs(outcome.overlap_gamma_prime)
-            permuted += int(outcome.permuted_gamma or outcome.permuted_gamma_prime)
+            kind = None
             in_regime = True
             if row.predicted_pair is not None:
                 if _verdict_matches(row.predicted_pair, outcome.verdict):
@@ -578,10 +544,8 @@ def validate_tables(
                 else:
                     verdict_disagree += 1
                     in_regime = False
-                    if row.predicted_order is None and (
-                        max_certificates is None or len(certs) < max_certificates
-                    ):
-                        certs.append(_certificate("verdict", i, inst, outcome))
+                    if row.predicted_order is None:
+                        kind = "verdict"
             if row.predicted_order is not None and in_regime:
                 order_checked += 1
                 if outcome.order == row.predicted_order:
@@ -590,30 +554,39 @@ def validate_tables(
                     order_tie += 1
                 else:
                     order_disagree += 1
-                    if max_certificates is None or len(certs) < max_certificates:
-                        certs.append(_certificate("order", i, inst, outcome))
+                    kind = "order"
+            if kind is not None and (max_certificates is None or len(certs) < max_certificates):
+                certs.append(
+                    {
+                        "id": f"{row.key}-{i:06d}",
+                        "kind": kind,
+                        "case": row.case,
+                        "table": row.table,
+                        "row": row.row_id,
+                        "sample_index": i,
+                        "instance": inst.to_doc(),
+                        "predicted_pair": row.predicted_pair,
+                        "predicted_order": row.predicted_order,
+                        **_observed_doc(outcome),
+                    }
+                )
         tallies.append(
             RowTally(
-                case=row.case,
-                table=row.table,
-                row_id=row.row_id,
+                row=row,
                 samples=samples_per_row,
                 satisfied=satisfied,
-                predicted_pair=row.predicted_pair,
                 verdict_agree=verdict_agree,
                 verdict_disagree=verdict_disagree,
-                predicted_order=row.predicted_order,
                 order_checked=order_checked,
                 order_agree=order_agree,
                 order_disagree=order_disagree,
                 order_tie=order_tie,
                 mean_abs_overlap=overlap_sum / satisfied if satisfied else None,
                 mean_abs_overlap_prime=overlap_prime_sum / satisfied if satisfied else None,
-                permuted=permuted,
                 certificates=tuple(certs),
             )
         )
-    return TableReport(samples_per_row, tuple(tallies))
+    return TableReport(tuple(tallies))
 
 
 def replay_table_certificate(cert: dict, rows=None) -> dict:
@@ -630,13 +603,7 @@ def replay_table_certificate(cert: dict, rows=None) -> dict:
         raise ValueError(f"certificate row {key} not in catalog")
     row = matches[0]
     inst = ScenarioInstance.from_doc(cert["instance"])
-    outcome = observe_instance(inst)
     return {
         "row_conditions_pass": check_row_conditions(row, inst),
-        "observed_verdict": outcome.verdict.value,
-        "order": outcome.order,
-        "c2_gamma": outcome.c2_gamma,
-        "c2_gamma_prime": outcome.c2_gamma_prime,
-        "overlap_gamma": outcome.overlap_gamma,
-        "overlap_gamma_prime": outcome.overlap_gamma_prime,
+        **_observed_doc(observe_instance(inst)),
     }

@@ -184,9 +184,6 @@ class PureState:
             return math.sqrt(sum(a * a for a in self.amplitudes))
         return math.sqrt(sum(x * x for row in self.amplitudes for x in row))
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.amplitudes, dtype=float)
-
     def diagonal_matrix(self) -> "PureState":
         """Embed a vector-form state as the equivalent diagonal coefficient matrix."""
         if not self.is_vector:

@@ -134,6 +134,18 @@ class TestCli:
         assert code == 2
         assert "unknown measure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["measure", "bounds"])
+    def test_non_finite_renyi_order_exits_2(self, fixture_files, capsys, command, delta):
+        if command == "measure":
+            argv = ["measure", fixture_files["a"], "--measures", "renyi"]
+        else:
+            argv = ["bounds", "--random", "3", "--seed", "1", "--theorems", "t5,t6"]
+        assert cli.run(argv + ["--delta", delta]) == 2
+        captured = capsys.readouterr()
+        assert "finite and non-negative" in captured.err
+        assert "nan" not in captured.out
+
     def test_superpose_reports_overlap_flag(self, fixture_files, capsys):
         code = cli.run(
             [

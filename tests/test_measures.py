@@ -122,8 +122,9 @@ class TestRenyi:
             assert abs(renyi_entropy(v, 1.0 - 1e-4) - target) <= 1e-3
 
     def test_negative_order_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            renyi_entropy(as_sv((1.0,)), -0.5)
+        for delta in (-0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="non-negative"):
+                renyi_entropy(as_sv((1.0,)), delta)
 
 
 @given(

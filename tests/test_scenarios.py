@@ -1,14 +1,20 @@
 import json
+import math
 from collections import Counter
+from importlib import resources
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conftest import sorted_simplex
 from locclab.majorization import ComparabilityVerdict
 from locclab.scenarios import (
     AmplitudeHalf,
     ProductCompare,
     RowFormatError,
     ScenarioInstance,
+    TableReport,
     check_row_conditions,
     load_default_rows,
     load_scenario_rows,
@@ -217,9 +223,9 @@ class TestValidateTables:
         report = validate_tables(rows_for_case(catalog, "II"), 600, RandomSource(4))
         for tally in report.rows:
             assert tally.satisfied <= tally.samples
-            if tally.predicted_pair is not None:
+            if tally.row.predicted_pair is not None:
                 assert tally.verdict_agree + tally.verdict_disagree == tally.satisfied
-            if tally.predicted_order is not None:
+            if tally.row.predicted_order is not None:
                 assert (
                     tally.order_agree + tally.order_disagree + tally.order_tie
                     == tally.order_checked
@@ -231,7 +237,7 @@ class TestValidateTables:
     def test_exploratory_rows_emit_no_certificates(self, catalog):
         report = validate_tables(rows_for_case(catalog, "V"), 300, RandomSource(4))
         for tally in report.rows:
-            assert tally.predicted_pair is None
+            assert tally.row.predicted_pair is None
             assert tally.certificates == ()
 
     def test_certificate_replay(self, catalog):
@@ -261,9 +267,15 @@ class TestValidateTables:
 
     def test_preset_case_four_runs(self, catalog):
         report = validate_tables(rows_for_case(catalog, "IV"), 300, RandomSource(6))
-        equal_row = next(t for t in report.rows if t.row_id == "1")
+        equal_row = next(t for t in report.rows if t.row.row_id == "1")
         assert equal_row.satisfied > 0
-        assert equal_row.predicted_pair == "COMPARABLE"
+        assert equal_row.row.predicted_pair == "COMPARABLE"
+
+
+def test_readme_csv_columns_match_report_header():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("CSV with columns\n\n```\n", 1)[1].split("```", 1)[0]
+    assert "".join(block.split()) == TableReport(()).to_csv().strip()
 
 
 def test_observe_instance_orders_with_tie_category():
@@ -272,3 +284,132 @@ def test_observe_instance_orders_with_tie_category():
     assert outcome.c2_gamma == pytest.approx(0.9861439301377637, abs=1e-12)
     assert outcome.c2_gamma_prime == pytest.approx(1.0911115752463976, abs=1e-12)
     assert outcome.verdict is ComparabilityVerdict.INCOMPARABLE
+
+
+# ---------------------------------------------------------------------------
+# Row-condition oracle: each catalog row evaluated straight from its text
+# (Python's own expression evaluator on the written conditions, prefix sums for
+# the case preconditions), with no package parsing or evaluation code.
+
+_ORACLE_GAP = 1e-9  # samples this close to any threshold are skipped
+_CASE_PAIRS = {  # case -> required comparability of (psi pair, phi pair)
+    "I": (False, False),
+    "II": (True, False),
+    "III": (False, None),
+    "IV": (True, None),
+    "V": (True, True),
+}
+
+
+class _TooClose(Exception):
+    pass
+
+
+def _oracle_catalog():
+    text = resources.files("locclab.data").joinpath("table_rows.txt").read_text()
+    rows = {}
+    for line in text.splitlines():
+        if line.strip() and not line.startswith("#"):
+            case, table, row_id, weights, conditions = (f.strip() for f in line.split("|")[:5])
+            rows[f"{table}.{row_id}"] = (case, weights, conditions)
+    return rows
+
+
+def _oracle_comparable(p, q):
+    first, second = p[0] - q[0], (p[0] + p[1]) - (q[0] + q[1])
+    if abs(first) <= _ORACLE_GAP or abs(second) <= _ORACLE_GAP:
+        raise _TooClose
+    return (first > 0) == (second > 0)
+
+
+def _oracle_condition(text, env):
+    op = next(op for op in ("<>", "<", ">") if op in text)
+    if op == "<>":
+        return True
+    lhs, rhs = (eval(side.replace("^", "**"), {"sqrt": math.sqrt}, env) for side in text.split(op))
+    if abs(lhs - rhs) <= _ORACLE_GAP:
+        raise _TooClose
+    return lhs > rhs if op == ">" else lhs < rhs
+
+
+def _oracle_holds(case, weights, conditions, inst):
+    """The row's predicate on ``inst``; raises _TooClose near a threshold."""
+    if weights != "equal" and abs(inst.alpha - inst.alphap) <= _ORACLE_GAP:
+        raise _TooClose
+    if weights == "equal" and inst.alpha != inst.alphap:
+        return False
+    if weights == "alpha>alphap" and not inst.alpha > inst.alphap:
+        return False
+    if weights == "alpha<alphap" and not inst.alpha < inst.alphap:
+        return False
+    psi_needed, phi_needed = _CASE_PAIRS[case]
+    if _oracle_comparable(inst.psi, inst.psip) != psi_needed:
+        return False
+    if phi_needed is not None and _oracle_comparable(inst.phi, inst.phip) != phi_needed:
+        return False
+    if conditions in ("-", "unspecified"):
+        return True
+    env = {"alpha": inst.alpha, "beta": inst.beta, "alphap": inst.alphap, "betap": inst.betap}
+    for family, triple in (("a", inst.psi), ("b", inst.phi), ("ap", inst.psip), ("bp", inst.phip)):
+        env.update({f"{family}{i}": x for i, x in enumerate(triple)})
+    # Evaluate every condition (no short circuit), so a near-threshold one is skipped.
+    groups = [
+        [_oracle_condition(part.strip(), env) for part in group.split(";")]
+        for group in conditions.split(" OR ")
+    ]
+    return any(all(group) for group in groups)
+
+
+def _oracle_pair(gen, comparable):
+    """Two sorted triples whose comparability is ``comparable`` (None: any)."""
+    for _ in range(1000):
+        p, q = sorted_simplex(gen, 3), sorted_simplex(gen, 3)
+        try:
+            if comparable is None or _oracle_comparable(p, q) == comparable:
+                return p, q
+        except _TooClose:
+            pass
+    raise AssertionError("no component pair drawn")
+
+
+def _oracle_instance(gen, case, weights, force):
+    u, v = sorted(gen.uniform(0.05, 0.95, size=2))
+    alpha, alphap = {"equal": (u, u), "alpha>alphap": (v, u), "alpha<alphap": (u, v)}[weights]
+    psi_needed, phi_needed = _CASE_PAIRS[case] if force else (None, None)
+    psi, psip = _oracle_pair(gen, psi_needed)
+    if case in ("III", "IV"):
+        phi = phip = sorted_simplex(gen, 3)
+    else:
+        phi, phip = _oracle_pair(gen, phi_needed)
+    return ScenarioInstance(
+        alpha=alpha,
+        beta=math.sqrt(1.0 - alpha * alpha),
+        alphap=alphap,
+        betap=math.sqrt(1.0 - alphap * alphap),
+        psi=psi,
+        phi=phi,
+        psip=psip,
+        phip=phip,
+        shared_phi=case in ("III", "IV"),
+    )
+
+
+def test_row_conditions_match_text_oracle(catalog):
+    oracle = _oracle_catalog()
+    assert set(oracle) == {r.key for r in catalog}
+    gen = np.random.default_rng(20261018)
+    outcomes = Counter()
+    for r in catalog:
+        case, weights, conditions = oracle[r.key]
+        for i in range(200):
+            # Three in four draws meet the case preconditions, so the
+            # written conditions decide; the rest exercise the gating.
+            inst = _oracle_instance(gen, case, weights, force=i % 4 != 0)
+            try:
+                expected = _oracle_holds(case, weights, conditions, inst)
+            except _TooClose:
+                continue
+            assert check_row_conditions(r, inst) == expected, (r.key, inst)
+            outcomes[conditions not in ("-", "unspecified"), expected] += 1
+    # Both outcomes occur often on rows whose written conditions decide.
+    assert outcomes[True, True] > 300 and outcomes[True, False] > 300

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import sorted_simplex
 from locclab.measures import entropy_of_entanglement
@@ -160,3 +162,25 @@ class TestSuperposePair:
         # amplitudes square to (0.3, 0.2, 0.5); sorting gives the Schmidt order
         assert second.schmidt.probs == pytest.approx((0.5, 0.3, 0.2), abs=1e-12)
         assert second.norm_factor == pytest.approx(1.0, abs=1e-12)
+
+
+@given(
+    st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=2, max_size=6
+    ),
+    st.floats(0.0, 1.0),
+)
+@settings(max_examples=300)
+def test_sorted_components_give_non_increasing_amplitudes(masses, alpha):
+    # Rounding is monotone, so non-increasing non-negative component amplitudes
+    # under non-negative weights give non-increasing superposed amplitudes:
+    # the scenario sampler's superpositions never reorder basis labels.
+    raw_psi = sorted((m for m, _ in masses), reverse=True)
+    raw_phi = sorted((m for _, m in masses), reverse=True)
+    psi_total, phi_total = sum(raw_psi), sum(raw_phi)
+    assume(psi_total > 0.0 and phi_total > 0.0)
+    psi = vec([m / psi_total for m in raw_psi])
+    phi = vec([m / phi_total for m in raw_phi])
+    beta = math.sqrt(1.0 - alpha * alpha)
+    amps = superpose(SuperpositionSpec(alpha, beta, psi, phi)).state.amplitudes
+    assert all(a >= b for a, b in zip(amps, amps[1:]))
