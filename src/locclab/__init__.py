@@ -17,7 +17,6 @@ from .majorization import (
     majorizes,
 )
 from .measures import (
-    MeasureResult,
     compute_measure,
     concurrence_squared,
     entropy_of_entanglement,

@@ -12,6 +12,7 @@ literally and flagged in the report notes rather than silently corrected.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,8 +38,6 @@ from .superpose import SuperpositionResult, SuperpositionSpec, superpose
 
 # A bound "holds" when every evaluated margin clears this floor.
 MARGIN_TOL = 1e-9
-# Components count as orthogonal below this overlap magnitude.
-ORTHO_TOL = 1e-9
 
 THEOREM_ORDER = ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8", "T9", "Chain11")
 # A survey keeps at most this many certificates per theorem.
@@ -88,10 +87,6 @@ class BoundInstance:
     def phi_schmidt(self) -> SchmidtVector:
         return schmidt_of_state(self.spec.phi)
 
-    @property
-    def orthogonal(self) -> bool:
-        return abs(self.gamma.overlap) <= ORTHO_TOL
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -111,13 +106,17 @@ class BoundReport:
     margin_lower: float | None
     margin_upper: float | None
     holds: bool
-    orthogonal: bool
     instance: BoundInstance
     notes: tuple[str, ...] = ()
     chain_terms: tuple[float, ...] | None = None
     chain_margins: tuple[float, ...] | None = None
     second: BoundInstance | None = None
     scan_excludes_zero: bool = False
+
+    @property
+    def orthogonal(self) -> bool:
+        parts = (self.instance,) if self.second is None else (self.instance, self.second)
+        return all(inst.gamma.orthogonal_components for inst in parts)
 
     @cached_property
     def snapshot(self) -> dict:
@@ -174,7 +173,6 @@ def _report(
         margin_lower=margin_lower,
         margin_upper=margin_upper,
         holds=all(not math.isnan(m) and m >= -MARGIN_TOL for m in margins),
-        orthogonal=inst.orthogonal and (second is None or second.orthogonal),
         instance=inst,
         notes=tuple(notes),
         chain_terms=chain_terms,
@@ -568,45 +566,51 @@ def survey_bounds(
     rng: RandomSource,
     n: int,
     *,
+    theorems: Iterable[str] = THEOREM_ORDER,
     orthogonal_only: bool = False,
     delta: float = 2.0,
     log_base: float = 2.0,
     scan_excludes_zero: bool = False,
 ) -> BoundSurvey:
-    """Evaluate every bound on ``n`` sampled 3x3 instances and tally hold rates.
+    """Evaluate the selected bounds on ``n`` sampled 3x3 instances and tally
+    hold rates, in ``THEOREM_ORDER`` whatever the order of ``theorems``.
 
-    Each sample draws its own sub-stream, so the outcome is independent of
-    how the loop would be scheduled across workers.  The chain is evaluated
-    on a second component pair drawn with the same weights.
+    Each sample draws both component pairs from its own sub-stream, so a
+    theorem's tally depends neither on loop scheduling nor on the selection.
+    The chain uses the second pair, superposed only when the chain is selected.
     """
     if n < 1:
         raise ValueError("survey needs at least one sample")
-    counts = {t: [0, 0, None] for t in THEOREM_ORDER}  # evaluated, held, worst
-    certs: dict[str, list[dict]] = {t: [] for t in THEOREM_ORDER}
+    wanted = set(theorems)
+    unknown = sorted(wanted.difference(THEOREM_ORDER))
+    if unknown:
+        raise ValueError(f"unknown theorem {unknown[0]!r} (choose from {','.join(THEOREM_ORDER)})")
+    if not wanted:
+        raise ValueError("survey needs at least one theorem")
+    selected = [t for t in THEOREM_ORDER if t in wanted]
+    held = dict.fromkeys(selected, 0)
+    worst: dict[str, float | None] = dict.fromkeys(selected)
+    certs: dict[str, list[dict]] = {t: [] for t in selected}
     for i in range(n):
         gen = rng.derive(i).generator()
         alpha = draw_weight(gen)
         beta = math.sqrt(1.0 - alpha * alpha)
         psi, phi = _draw_vector3(gen, orthogonal_only)
         psi2, phi2 = _draw_vector3(gen, orthogonal_only)
-        inst = BoundInstance.build(
-            SuperpositionSpec(alpha, beta, psi, phi), delta, log_base
-        )
-        inst2 = BoundInstance.build(
-            SuperpositionSpec(alpha, beta, psi2, phi2), delta, log_base
-        )
-        for theorem in THEOREM_ORDER:
+        inst = BoundInstance.build(SuperpositionSpec(alpha, beta, psi, phi), delta, log_base)
+        inst2 = None
+        if "Chain11" in wanted:
+            inst2 = BoundInstance.build(SuperpositionSpec(alpha, beta, psi2, phi2), delta, log_base)
+        for theorem in selected:
             report = evaluate(theorem, inst, inst2, scan_excludes_zero)
-            entry = counts[theorem]
-            entry[0] += 1
-            entry[1] += int(report.holds)
-            worst = report.worst_margin()
-            if entry[2] is None or worst < entry[2]:
-                entry[2] = worst
-            if not report.holds and len(certs[report.theorem]) < MAX_SURVEY_CERTIFICATES:
-                certs[report.theorem].append(
+            held[theorem] += int(report.holds)
+            margin = report.worst_margin()
+            if worst[theorem] is None or margin < worst[theorem]:
+                worst[theorem] = margin
+            if not report.holds and len(certs[theorem]) < MAX_SURVEY_CERTIFICATES:
+                certs[theorem].append(
                     {
-                        "id": f"{report.theorem}-{i:06d}",
+                        "id": f"{theorem}-{i:06d}",
                         "sample_index": i,
                         "snapshot": report.snapshot,
                         "margins": list(report.margins()),
@@ -615,7 +619,6 @@ def survey_bounds(
                     }
                 )
     tallies = tuple(
-        TheoremTally(t, counts[t][0], counts[t][1], counts[t][2], tuple(certs[t]))
-        for t in THEOREM_ORDER
+        TheoremTally(t, n, held[t], worst[t], tuple(certs[t])) for t in selected
     )
     return BoundSurvey(tallies)

@@ -9,7 +9,6 @@ are dimensionless; logarithmic negativity takes its base as a parameter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .states import SchmidtVector
 
@@ -20,22 +19,6 @@ LOG_NEGATIVITY = "ln"
 RENYI = "renyi"
 
 MEASURE_KINDS = (ENTROPY, CONCURRENCE_SQUARED, NEGATIVITY, LOG_NEGATIVITY, RENYI)
-
-_UNITS = {
-    ENTROPY: "bits",
-    CONCURRENCE_SQUARED: "dimensionless",
-    NEGATIVITY: "dimensionless",
-    LOG_NEGATIVITY: "dimensionless",
-    RENYI: "nats",
-}
-
-
-@dataclass(frozen=True)
-class MeasureResult:
-    kind: str
-    value: float
-    units: str
-    parameter: float | None = None
 
 
 def entropy_of_entanglement(v: SchmidtVector) -> float:
@@ -87,20 +70,18 @@ def compute_measure(
     *,
     delta: float | None = None,
     base: float = 2.0,
-) -> MeasureResult:
+) -> float:
     """Uniform dispatch used by reporting code; ``delta`` only applies to Renyi."""
     if kind == ENTROPY:
-        value = entropy_of_entanglement(v)
-    elif kind == CONCURRENCE_SQUARED:
-        value = concurrence_squared(v)
-    elif kind == NEGATIVITY:
-        value = negativity(v)
-    elif kind == LOG_NEGATIVITY:
-        value = log_negativity(v, base)
-    elif kind == RENYI:
+        return entropy_of_entanglement(v)
+    if kind == CONCURRENCE_SQUARED:
+        return concurrence_squared(v)
+    if kind == NEGATIVITY:
+        return negativity(v)
+    if kind == LOG_NEGATIVITY:
+        return log_negativity(v, base)
+    if kind == RENYI:
         if delta is None:
             raise ValueError("Renyi entropy needs an order parameter")
-        value = renyi_entropy(v, delta)
-    else:
-        raise ValueError(f"unknown measure kind {kind!r}")
-    return MeasureResult(kind, value, _UNITS[kind], delta if kind == RENYI else None)
+        return renyi_entropy(v, delta)
+    raise ValueError(f"unknown measure {kind!r} (choose from {','.join(MEASURE_KINDS)})")

@@ -32,8 +32,8 @@ class VanishingSuperpositionError(ValueError):
 class SuperpositionSpec:
     """Weights and components of one superposition.
 
-    Weights are non-negative with squares summing to one; the components must
-    share a storage form and dimensions.
+    Weights are finite and non-negative with squares summing to one; the
+    components must share a storage form and dimensions.
     """
 
     alpha: float
@@ -46,8 +46,10 @@ class SuperpositionSpec:
         beta = float(self.beta)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
-        if alpha < 0.0 or beta < 0.0:
-            raise ValueError("superposition weights must be non-negative")
+        if not (math.isfinite(alpha) and math.isfinite(beta) and min(alpha, beta) >= 0.0):
+            raise ValueError(
+                f"superposition weights must be finite and non-negative, got {alpha!r}, {beta!r}"
+            )
         if abs(alpha * alpha + beta * beta - 1.0) > SUM_TOL:
             raise ValueError(
                 f"weights must satisfy alpha^2 + beta^2 = 1, got {alpha!r}, {beta!r}"

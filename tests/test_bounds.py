@@ -214,6 +214,12 @@ class TestChain:
         assert report.chain_margins[0] == pytest.approx(0.0, abs=1e-15)
         assert report.chain_margins[2] == pytest.approx(0.0, abs=1e-15)
 
+    def test_orthogonal_needs_both_superpositions_orthogonal(self, split_instance):
+        overlapping = instance(S2, (0.6, 0.4, 0.0), (0.5, 0.3, 0.2), delta=2.0)
+        assert eval_chain_inequality(split_instance, split_instance).orthogonal
+        assert not eval_chain_inequality(split_instance, overlapping).orthogonal
+        assert not eval_chain_inequality(overlapping, split_instance).orthogonal
+
     def test_weight_mismatch_rejected(self, split_instance):
         other = instance(0.5, (0.6, 0.4, 0.0), (0.0, 0.0, 1.0))
         with pytest.raises(PreconditionError, match="equal weights"):
@@ -290,6 +296,20 @@ class TestSurvey:
             if "psi_prime" in cert["snapshot"]:
                 second = second_instance_from_snapshot(cert["snapshot"])
                 assert abs(second.gamma.overlap) <= 1e-9
+
+    def test_selection_matches_full_survey(self):
+        full = {t.theorem: t for t in survey_bounds(RandomSource(9), 150).tallies}
+        part = survey_bounds(RandomSource(9), 150, theorems=("Chain11", "T1"))
+        assert part.tallies == (full["T1"], full["Chain11"])
+        assert full["T1"].certificates and full["Chain11"].certificates
+        assert part.certificates() == [*full["T1"].certificates, *full["Chain11"].certificates]
+
+    @pytest.mark.parametrize(
+        "theorems", [("T1", "T42"), ("t1",), ()], ids=["unknown", "case", "empty"]
+    )
+    def test_bad_selection_rejected(self, theorems):
+        with pytest.raises(ValueError, match="theorem"):
+            survey_bounds(RandomSource(1), 5, theorems=theorems)
 
     def test_covers_every_theorem(self):
         survey = survey_bounds(RandomSource(5), 50)

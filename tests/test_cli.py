@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -170,6 +174,31 @@ class TestCli:
         )
         assert code == 2
 
+    def test_superpose_non_finite_weight_exits_2(self, fixture_files, capsys):
+        argv = ["superpose", fixture_files["a"], fixture_files["b"], "--alpha", "nan"]
+        assert cli.run(argv + ["--beta", "0.8"]) == 2
+        assert "weights must be finite" in capsys.readouterr().err
+
+    def test_module_entry_point(self, fixture_files):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+
+        def module_run(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "locclab.cli", *argv],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": path},
+                timeout=120,
+            )
+
+        bad = module_run("bounds", "--random", "0", "--seed", "1")
+        assert bad.returncode == 2
+        assert any(line.startswith("error: ") for line in bad.stderr.splitlines())
+        good = module_run("classify", fixture_files["a"], fixture_files["b"])
+        assert good.returncode == 0
+        assert "verdict = ConvertibleAtoB" in good.stdout
+
     def test_bounds_requires_seed(self, capsys):
         code = cli.run(["bounds", "--random", "5"])
         assert code == 2
@@ -188,6 +217,42 @@ class TestCli:
         assert first == second
         assert first.splitlines()[0] == "theorem,n,hold_rate,worst_margin,certificate_ids"
         assert len(first.splitlines()) == 11
+
+    @pytest.mark.parametrize(
+        "theorems, delta, code", [("t1", "1", 0), ("t1", "-1", 0), ("t5", "1", 2)]
+    )
+    def test_survey_checks_delta_only_for_selected_theorems(self, capsys, theorems, delta, code):
+        argv = ["bounds", "--random", "3", "--seed", "1", "--theorems", theorems, "--delta", delta]
+        assert cli.run(argv) == code
+        captured = capsys.readouterr()
+        if code:
+            assert "excludes Renyi order 1" in captured.err
+        else:
+            assert captured.out.startswith("theorem = T1\n")
+
+    def test_survey_needs_samples(self, capsys):
+        assert cli.run(["bounds", "--random", "0", "--seed", "1"]) == 2
+        assert "at least one sample" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["kv", "csv"])
+    def test_survey_selection_prints_selected_parts(self, tmp_path, capsys, fmt):
+        argv = ["bounds", "--random", "60", "--seed", "3", "--format", fmt]
+        assert cli.run(argv + ["--certs", str(tmp_path / "all")]) == 0
+        full = capsys.readouterr().out
+        picked = ["--theorems", "t4,t1,T1", "--certs", str(tmp_path / "some")]
+        assert cli.run(argv + picked) == 0
+        part = capsys.readouterr().out
+        if fmt == "csv":
+            lines = full.splitlines(keepends=True)
+            assert part == lines[0] + lines[1] + lines[4]
+        else:
+            blocks = full.split("\n\n")
+            assert blocks[0].startswith("theorem = T1\n")
+            assert blocks[3].startswith("theorem = T4\n")
+            assert part == blocks[0] + "\n\n" + blocks[3] + "\n"
+        kept = {p.name: p.read_bytes() for p in (tmp_path / "all").glob("T[14]-*.json")}
+        assert kept
+        assert {p.name: p.read_bytes() for p in (tmp_path / "some").iterdir()} == kept
 
     def test_bounds_instance_evaluation(self, tmp_path, capsys):
         s2 = 1 / math.sqrt(2)

@@ -8,7 +8,6 @@ from conftest import as_sv, mixed_from, sorted_simplex
 from locclab.majorization import ComparabilityVerdict, classify_pair
 from locclab.measures import (
     MEASURE_KINDS,
-    MeasureResult,
     compute_measure,
     concurrence_squared,
     entropy_of_entanglement,
@@ -179,17 +178,23 @@ def test_schur_monotone_along_conversions(np_gen):
 
 class TestComputeMeasure:
     def test_dispatch_and_units(self):
-        v = as_sv((0.5, 0.5))
-        assert compute_measure("e", v) == MeasureResult("e", 1.0, "bits", None)
-        assert compute_measure("renyi", v, delta=2.0).units == "nats"
-        assert compute_measure("renyi", v, delta=2.0).parameter == 2.0
-        assert compute_measure("n", v).units == "dimensionless"
+        v = as_sv((0.5, 0.3, 0.2))
+        direct = {
+            "e": entropy_of_entanglement(v),
+            "c2": concurrence_squared(v),
+            "n": negativity(v),
+            "ln": log_negativity(v, 3.0),
+            "renyi": renyi_entropy(v, 0.5),
+        }
+        assert set(direct) == set(MEASURE_KINDS)
+        for kind, value in direct.items():
+            result = compute_measure(kind, v, delta=0.5, base=3.0)
+            assert type(result) is float and result == value
 
     def test_every_kind_covered(self):
         v = as_sv((0.6, 0.4))
         for kind in MEASURE_KINDS:
-            result = compute_measure(kind, v, delta=2.0)
-            assert result.kind == kind and result.value >= 0.0
+            assert compute_measure(kind, v, delta=2.0) >= 0.0
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown measure"):

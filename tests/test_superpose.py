@@ -54,6 +54,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="non-negative"):
             SuperpositionSpec(-S2, S2, vec((1, 0)), vec((0, 1)))
 
+    @pytest.mark.parametrize(
+        "alpha, beta", [(math.nan, 0.8), (0.6, math.nan), (math.inf, 0.8), (0.6, -math.inf)]
+    )
+    def test_weights_must_be_finite(self, alpha, beta):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            SuperpositionSpec(alpha, beta, vec((1, 0)), vec((0, 1)))
+
     def test_component_layouts_must_match(self):
         with pytest.raises(ValueError, match="layouts"):
             SuperpositionSpec(S2, S2, vec((1, 0)), vec((0, 1, 0)))
