@@ -14,7 +14,9 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+
+import numpy as np
 
 from .measures import (
     entropy_of_entanglement,
@@ -537,8 +539,21 @@ class BoundSurvey:
         return "\n".join(lines) + "\n"
 
 
-def _draw_vector3(gen, orthogonal: bool) -> tuple[PureState, PureState]:
-    """One component pair: sorted full-support triples, or disjoint supports.
+# The survey draws and evaluates samples in chunks of this many, so its
+# memory stays bounded whatever the sample count.  The kernel's temporaries
+# take about 0.6 kB a sample, and larger chunks gain almost no time.
+SURVEY_CHUNK = 512
+# Kernel margins agree with the scalar evaluators to about 2e-15 (numpy's
+# log, log2 and pow differ from math's in the last bit).  A kernel margin
+# this close to -MARGIN_TOL, or to the smallest worst margin, is decided by
+# the scalar evaluators instead (see _recheck_band for the bounds whose
+# rounding a parameter magnifies).
+RECHECK_BAND = 1e-10
+
+
+def _draw_vector3(gen, orthogonal: bool) -> tuple[list[float], list[float]]:
+    """Amplitudes of one component pair: sorted full-support triples, or
+    disjoint supports.
 
     Disjoint supports (the only way two shared-basis non-negative vectors can
     be orthogonal) force zeros, so those amplitudes stay in physical basis
@@ -547,10 +562,7 @@ def _draw_vector3(gen, orthogonal: bool) -> tuple[PureState, PureState]:
     if not orthogonal:
         a = draw_sorted_simplex(gen, 3)
         b = draw_sorted_simplex(gen, 3)
-        return (
-            PureState.vector([math.sqrt(x) for x in a]),
-            PureState.vector([math.sqrt(x) for x in b]),
-        )
+        return [math.sqrt(x) for x in a], [math.sqrt(x) for x in b]
     k = int(gen.integers(1, 3))
     order = [int(i) for i in gen.permutation(3)]
     psi_amp = [0.0, 0.0, 0.0]
@@ -559,7 +571,190 @@ def _draw_vector3(gen, orthogonal: bool) -> tuple[PureState, PureState]:
         psi_amp[idx] = math.sqrt(mass)
     for idx, mass in zip(order[k:], simplex_masses(gen, 3 - k)):
         phi_amp[idx] = math.sqrt(mass)
-    return PureState.vector(psi_amp), PureState.vector(phi_amp)
+    return psi_amp, phi_amp
+
+
+def _draw_chunk(rng: RandomSource, indices: range, orthogonal: bool):
+    """Weights and component triples of samples ``indices``, each drawn from its
+    own sub-stream: ``(m,)`` alpha and beta, ``(m, 4, 3)`` psi, phi, psi', phi'."""
+    weights = np.empty((len(indices), 2))
+    amps = np.empty((len(indices), 12))
+    for j, i in enumerate(indices):
+        gen = rng.derive(i).generator()
+        alpha = draw_weight(gen)
+        weights[j] = alpha, math.sqrt(1.0 - alpha * alpha)
+        psi, phi = _draw_vector3(gen, orthogonal)
+        psi2, phi2 = _draw_vector3(gen, orthogonal)
+        amps[j] = psi + phi + psi2 + phi2
+    return weights[:, 0], weights[:, 1], amps.reshape(-1, 4, 3)
+
+
+def _col_sum(x: np.ndarray) -> np.ndarray:
+    return x[:, 0] + x[:, 1] + x[:, 2]
+
+
+def _sorted_probs(amps: np.ndarray) -> np.ndarray:
+    """Schmidt probabilities of shared-basis amplitude rows, as
+    ``schmidt_of_state`` computes them: squares sorted non-increasing over their sum."""
+    sq = np.sort(amps * amps, axis=1)[:, ::-1]
+    return sq / _col_sum(sq)[:, None]
+
+
+def _negativity(p: np.ndarray) -> np.ndarray:
+    root_sum = _col_sum(np.sqrt(p))
+    return (root_sum * root_sum - 1.0) / 2.0
+
+
+def _log_negativity(p: np.ndarray, base: float) -> np.ndarray:
+    root_sum = _col_sum(np.sqrt(p))
+    if base == 2.0:
+        return np.log2(root_sum * root_sum)
+    return np.log(root_sum * root_sum) / math.log(base)
+
+
+def _entropy(p: np.ndarray) -> np.ndarray:
+    return -_col_sum(p * np.log2(np.where(p > 0.0, p, 1.0)))
+
+
+def _renyi(p: np.ndarray, delta: float) -> np.ndarray:
+    power_sum = _col_sum(np.where(p > 0.0, p**delta, 0.0))
+    # A sum that underflows lost its precision (math.log raises at zero): NaN
+    # sends the sample to the scalar evaluators.
+    normal = power_sum >= np.finfo(float).tiny
+    return np.log(np.where(normal, power_sum, np.nan)) / (1.0 - delta)
+
+
+def _recheck_band(theorem: str, delta: float, log_base: float) -> float:
+    """``RECHECK_BAND``, widened for the bounds that divide by ``1 - delta`` or
+    by ``ln(log_base)``: those divisions magnify the kernel's rounding."""
+    if theorem in ("T5", "T6"):
+        return RECHECK_BAND / min(1.0, abs(1.0 - delta))
+    if theorem in ("T3", "T4"):
+        return RECHECK_BAND / min(1.0, math.log(log_base))
+    return RECHECK_BAND
+
+
+def _kernel_margins(
+    selected: list[str],
+    alpha: np.ndarray,
+    beta: np.ndarray,
+    amps: np.ndarray,
+    delta: float,
+    log_base: float,
+    scan_excludes_zero: bool,
+) -> dict[str, np.ndarray]:
+    """Margins of the selected bounds on a chunk of 3x3 vector-form samples.
+
+    An array transcription of the evaluators: one ``(m, k)`` array per theorem
+    whose columns follow ``BoundReport.margins()``.  It agrees with them to
+    rounding, so it only decides samples far from the thresholds.
+    """
+    psi, phi = amps[:, 0], amps[:, 1]
+    ab = alpha * beta
+    weight_sum = alpha + beta
+    pool = amps[:, :2].reshape(len(alpha), 6)
+    lo = (np.where(pool > 0.0, pool, np.inf) if scan_excludes_zero else pool).min(axis=1)
+    hi = pool.max(axis=1)
+    ln_base = math.log(log_base)
+
+    def superposed(psi, phi):
+        k = alpha * alpha + beta * beta + 2.0 * alpha * beta * _col_sum(psi * phi)
+        scale = (1.0 / np.sqrt(k))[:, None]
+        return _sorted_probs((alpha[:, None] * psi + beta[:, None] * phi) * scale)
+
+    p_gamma, p_psi, p_phi = superposed(psi, phi), _sorted_probs(psi), _sorted_probs(phi)
+    out = {}
+    for theorem in selected:
+        if theorem == "T1":
+            n_gamma = _negativity(p_gamma)
+            combo = alpha**2 * _negativity(p_psi) + beta**2 * _negativity(p_phi)
+            sides = [(combo, n_gamma), (n_gamma, combo + ab)]
+        elif theorem == "T2":
+            n_gamma = _negativity(p_gamma)
+            pref = 9.0 * weight_sum**2
+            sides = [
+                (0.5 * (pref * lo**2 - 1.0), n_gamma),
+                (n_gamma, 0.5 * (pref * hi**2 - 1.0)),
+            ]
+        elif theorem == "T3":
+            lower = (
+                0.5 * (_log_negativity(p_psi, log_base) + _log_negativity(p_phi, log_base))
+                + 2.0
+                + np.log(ab) / ln_base
+            )
+            sides = [(lower, _log_negativity(p_gamma, log_base))]
+        elif theorem == "T4":
+            spread = 3.0 * weight_sum
+            lower = np.where(
+                lo > 0.0, 2.0 * np.log(spread * np.where(lo > 0.0, lo, 1.0)) / ln_base, -np.inf
+            )
+            ln_gamma = _log_negativity(p_gamma, log_base)
+            sides = [(lower, ln_gamma), (ln_gamma, 2.0 * np.log(spread * hi) / ln_base)]
+        elif theorem == "T5":
+            lower = (
+                (math.log(3.0) + 2.0 * delta * np.log(ab)) / (1.0 - delta)
+                + _renyi(p_psi, delta)
+                + _renyi(p_phi, delta)
+            )
+            sides = [(lower, _renyi(p_gamma, delta))]
+        elif theorem == "T6":
+            eta = alpha[:, None] * psi + beta[:, None] * phi
+            eta_lo = (np.where(eta > 0.0, eta, np.inf) if scan_excludes_zero else eta).min(axis=1)
+            coef = 2.0 * delta / (1.0 - delta)
+
+            def side(amp):
+                at_zero = -np.inf if coef > 0.0 else np.inf
+                return np.where(amp > 0.0, coef * np.log(np.where(amp > 0.0, amp, 1.0)), at_zero)
+
+            s_gamma = _renyi(p_gamma, delta)
+            sides = [(side(eta_lo), s_gamma), (s_gamma, side(eta.max(axis=1)))]
+        elif theorem == "T7":
+            upper = (
+                alpha * np.sqrt(_entropy(p_psi) + 1.0) + beta * np.sqrt(_entropy(p_phi) + 1.0)
+            ) ** 2
+            sides = [(_entropy(p_gamma), upper)]
+        elif theorem == "T8":
+            upper = (
+                alpha * _entropy(p_psi)
+                + beta * _entropy(p_phi)
+                - alpha * np.log2(alpha)
+                - beta * np.log2(beta)
+            )
+            sides = [(_entropy(p_gamma), upper)]
+        elif theorem == "T9":
+            sides = [(_entropy(p_gamma), 2.0 * np.log2(3.0 * weight_sum) * hi)]
+        else:  # Chain11
+            p_second = superposed(amps[:, 2], amps[:, 3])
+            sq = amps * amps
+            a, b, ap, bp = sq[:, 0], sq[:, 1], sq[:, 2], sq[:, 3]
+            pref = 9.0 * weight_sum**2
+            n_a, n_b = _negativity(p_gamma), _negativity(p_second)
+
+            def coefficient_term(x):
+                return 0.5 * (pref * x**2 - 1.0)
+
+            terms = (
+                coefficient_term(np.minimum(ap[:, 2], bp[:, 2])),
+                coefficient_term(np.minimum(a[:, 2], b[:, 2])),
+                np.minimum(n_a, n_b),
+                np.maximum(n_a, n_b),
+                coefficient_term(np.maximum(ap[:, 0], bp[:, 0])),
+                coefficient_term(np.minimum(a[:, 0], b[:, 0])),
+            )
+            sides = list(zip(terms, terms[1:]))
+        out[theorem] = np.column_stack([rhs - lhs for lhs, rhs in sides])
+    return out
+
+
+def _certificate(report: BoundReport, index: int) -> dict:
+    return {
+        "id": f"{report.theorem}-{index:06d}",
+        "sample_index": index,
+        "snapshot": report.snapshot,
+        "margins": list(report.margins()),
+        "holds": report.holds,
+        "notes": list(report.notes),
+    }
 
 
 def survey_bounds(
@@ -576,8 +771,15 @@ def survey_bounds(
     hold rates, in ``THEOREM_ORDER`` whatever the order of ``theorems``.
 
     Each sample draws both component pairs from its own sub-stream, so a
-    theorem's tally depends neither on loop scheduling nor on the selection.
-    The chain uses the second pair, superposed only when the chain is selected.
+    theorem's tally depends neither on chunking nor on the selection.  The
+    chain uses the second pair, superposed only when the chain is selected.
+
+    Samples are evaluated in chunks by an array kernel.  The scalar evaluators
+    decide sample 0 (which raises their precondition errors and starts the
+    worst-margin fold), every sample with a NaN margin or one within
+    ``RECHECK_BAND`` of ``-MARGIN_TOL``, the worst-margin candidates and the
+    certificates.  The survey thus equals a per-sample loop over
+    :func:`evaluate` bit for bit.
     """
     if n < 1:
         raise ValueError("survey needs at least one sample")
@@ -588,37 +790,66 @@ def survey_bounds(
     if not wanted:
         raise ValueError("survey needs at least one theorem")
     selected = [t for t in THEOREM_ORDER if t in wanted]
+    chain = "Chain11" in wanted
     held = dict.fromkeys(selected, 0)
-    worst: dict[str, float | None] = dict.fromkeys(selected)
+    # Smallest kernel worst margin so far (rechecked samples enter with their
+    # scalar one), and the per-sample loop's worst-margin fold over sample 0
+    # and every sample within the band of that minimum, in sample order.
+    lowest = dict.fromkeys(selected, math.inf)
+    worst_margin: dict[str, float | None] = dict.fromkeys(selected)
     certs: dict[str, list[dict]] = {t: [] for t in selected}
-    for i in range(n):
-        gen = rng.derive(i).generator()
-        alpha = draw_weight(gen)
-        beta = math.sqrt(1.0 - alpha * alpha)
-        psi, phi = _draw_vector3(gen, orthogonal_only)
-        psi2, phi2 = _draw_vector3(gen, orthogonal_only)
-        inst = BoundInstance.build(SuperpositionSpec(alpha, beta, psi, phi), delta, log_base)
-        inst2 = None
-        if "Chain11" in wanted:
-            inst2 = BoundInstance.build(SuperpositionSpec(alpha, beta, psi2, phi2), delta, log_base)
-        for theorem in selected:
-            report = evaluate(theorem, inst, inst2, scan_excludes_zero)
-            held[theorem] += int(report.holds)
-            margin = report.worst_margin()
-            if worst[theorem] is None or margin < worst[theorem]:
-                worst[theorem] = margin
-            if not report.holds and len(certs[theorem]) < MAX_SURVEY_CERTIFICATES:
-                certs[theorem].append(
-                    {
-                        "id": f"{theorem}-{i:06d}",
-                        "sample_index": i,
-                        "snapshot": report.snapshot,
-                        "margins": list(report.margins()),
-                        "holds": report.holds,
-                        "notes": list(report.notes),
-                    }
+    for start in range(0, n, SURVEY_CHUNK):
+        alpha, beta, amps = _draw_chunk(
+            rng, range(start, min(n, start + SURVEY_CHUNK)), orthogonal_only
+        )
+
+        @cache
+        def instances(j: int) -> tuple[BoundInstance, BoundInstance | None]:
+            def build(psi, phi) -> BoundInstance:
+                spec = SuperpositionSpec(
+                    float(alpha[j]), float(beta[j]), PureState.vector(psi), PureState.vector(phi)
                 )
+                return BoundInstance.build(spec, delta, log_base)
+
+            rows = amps[j].tolist()
+            return build(rows[0], rows[1]), build(rows[2], rows[3]) if chain else None
+
+        @cache
+        def report(j: int, theorem: str) -> BoundReport:
+            return evaluate(theorem, *instances(j), scan_excludes_zero)
+
+        first = []
+        if start == 0:
+            # Sample 0 raises the evaluators' precondition errors before the
+            # kernel runs, and always starts the worst-margin fold.
+            first = [0]
+            for theorem in selected:
+                report(0, theorem)
+        with np.errstate(all="ignore"):
+            margins = _kernel_margins(
+                selected, alpha, beta, amps, delta, log_base, scan_excludes_zero
+            )
+            for theorem in selected:
+                m = margins[theorem]
+                holds = np.all(m >= -MARGIN_TOL, axis=1)
+                worst = m.min(axis=1)
+                band = _recheck_band(theorem, delta, log_base)
+                near = np.isnan(m) | (np.abs(m + MARGIN_TOL) <= band)
+                for j in first + np.flatnonzero(near.any(axis=1)).tolist():
+                    holds[j] = report(j, theorem).holds
+                    worst[j] = report(j, theorem).worst_margin()
+                held[theorem] += int(holds.sum())
+                if not np.isnan(worst).all():
+                    lowest[theorem] = min(lowest[theorem], float(np.nanmin(worst)))
+                bar = lowest[theorem] + band
+                for j in first + np.flatnonzero(worst <= bar).tolist():
+                    margin = report(j, theorem).worst_margin()
+                    if worst_margin[theorem] is None or margin < worst_margin[theorem]:
+                        worst_margin[theorem] = margin
+                room = MAX_SURVEY_CERTIFICATES - len(certs[theorem])
+                for j in np.flatnonzero(~holds)[:room].tolist():
+                    certs[theorem].append(_certificate(report(j, theorem), start + j))
     tallies = tuple(
-        TheoremTally(t, n, held[t], worst[t], tuple(certs[t])) for t in selected
+        TheoremTally(t, n, held[t], worst_margin[t], tuple(certs[t])) for t in selected
     )
     return BoundSurvey(tallies)

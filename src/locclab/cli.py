@@ -138,10 +138,11 @@ def _cmd_superpose(args) -> int:
     return EXIT_OK
 
 
-def _parse_theorems(spec: str) -> list[str]:
-    tokens = [t.strip() for t in spec.split(",") if t.strip()]
+def _parse_theorems(spec: str | None) -> list[str] | None:
+    """The named theorems, or None when ``spec`` is absent or selects all."""
+    tokens = [t.strip() for t in (spec or "").split(",") if t.strip()]
     if not tokens or any(t.lower() == "all" for t in tokens):
-        return list(THEOREM_ORDER)
+        return None
     by_lower = {t.lower(): t for t in THEOREM_ORDER}
     chosen = []
     for token in tokens:
@@ -168,7 +169,7 @@ def _report_pairs(report: BoundReport) -> list[tuple]:
     return pairs
 
 
-def _bounds_instance(args, theorems: list[str]) -> int:
+def _bounds_instance(args, theorems: list[str] | None) -> int:
     snap = json.loads(Path(args.instance).read_text())
     if isinstance(snap, dict):
         snap = snap.get("snapshot", snap)
@@ -179,13 +180,12 @@ def _bounds_instance(args, theorems: list[str]) -> int:
         snap["delta"] = args.delta
     inst = instance_from_snapshot(snap)
     second = second_instance_from_snapshot(snap)
-    explicit = args.theorems is not None
     blocks = []
-    for theorem in theorems:
+    for theorem in theorems or THEOREM_ORDER:
         try:
             report = evaluate(theorem, inst, second, args.scan_exclude_zeros)
         except PreconditionError:
-            if explicit:
+            if theorems is not None:
                 raise
             continue  # "all": silently skip bounds the instance cannot feed
         blocks.append(_report_pairs(report))
@@ -201,11 +201,11 @@ def _write_certificates(certificates, directory: str) -> int:
     return len(certificates)
 
 
-def _bounds_survey(args, theorems: list[str]) -> int:
+def _bounds_survey(args, theorems: list[str] | None) -> int:
     survey = survey_bounds(
         RandomSource(args.seed, args.stream),
         args.random,
-        theorems=theorems,
+        theorems=theorems or THEOREM_ORDER,
         orthogonal_only=args.orthogonal_only,
         delta=args.delta if args.delta is not None else 2.0,
         log_base=args.base if args.base is not None else 2.0,
@@ -234,7 +234,7 @@ def _bounds_survey(args, theorems: list[str]) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    theorems = _parse_theorems(args.theorems if args.theorems is not None else "all")
+    theorems = _parse_theorems(args.theorems)
     if (args.instance is None) == (args.random is None):
         raise ValueError("choose exactly one of --instance FILE or --random N")
     if args.instance is not None:

@@ -520,6 +520,8 @@ def validate_tables(
     """
     if samples_per_row < 1:
         raise ValueError("samples_per_row must be at least 1")
+    if max_certificates is not None and max_certificates < 0:
+        raise ValueError(f"max_certificates must be non-negative, got {max_certificates!r}")
     tallies = []
     for row in rows:
         source = _row_source(rng, row)

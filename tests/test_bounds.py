@@ -1,14 +1,20 @@
+import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from conftest import sorted_simplex
 from formula_oracle import compare_report, oracle_sides
+from locclab import bounds
 from locclab.bounds import (
+    MAX_SURVEY_CERTIFICATES,
     THEOREM_ORDER,
     BoundInstance,
+    BoundSurvey,
+    TheoremTally,
     eval_chain_inequality,
     eval_t1,
     eval_t2,
@@ -25,7 +31,7 @@ from locclab.bounds import (
     second_instance_from_snapshot,
     survey_bounds,
 )
-from locclab.states import PreconditionError, PureState, RandomSource
+from locclab.states import PreconditionError, PureState, RandomSource, draw_weight
 from locclab.superpose import SuperpositionSpec
 
 S2 = 1 / math.sqrt(2)
@@ -348,3 +354,154 @@ class TestSurvey:
         lines = survey.to_csv().strip().splitlines()
         assert lines[0] == "theorem,n,hold_rate,worst_margin,certificate_ids"
         assert len(lines) == 11
+
+
+def amplitude_instance(alpha, beta, psi, phi, delta, log_base):
+    spec = SuperpositionSpec(alpha, beta, PureState.vector(psi), PureState.vector(phi))
+    return BoundInstance.build(spec, delta, log_base)
+
+
+def scalar_survey(
+    rng, n, *, theorems=THEOREM_ORDER, orthogonal_only=False, delta=2.0, log_base=2.0,
+    scan_excludes_zero=False,
+):
+    """The per-sample survey loop: every sample through the scalar evaluators."""
+    selected = [t for t in THEOREM_ORDER if t in set(theorems)]
+    held = dict.fromkeys(selected, 0)
+    worst = dict.fromkeys(selected)
+    certs = {t: [] for t in selected}
+    for i in range(n):
+        gen = rng.derive(i).generator()
+        alpha = draw_weight(gen)
+        beta = math.sqrt(1.0 - alpha * alpha)
+        inst, inst2 = (
+            amplitude_instance(alpha, beta, psi, phi, delta, log_base)
+            for psi, phi in [bounds._draw_vector3(gen, orthogonal_only) for _ in range(2)]
+        )
+        for theorem in selected:
+            report = evaluate(theorem, inst, inst2, scan_excludes_zero)
+            held[theorem] += int(report.holds)
+            margin = report.worst_margin()
+            if worst[theorem] is None or margin < worst[theorem]:
+                worst[theorem] = margin
+            if not report.holds and len(certs[theorem]) < MAX_SURVEY_CERTIFICATES:
+                certs[theorem].append(
+                    {
+                        "id": f"{theorem}-{i:06d}",
+                        "sample_index": i,
+                        "snapshot": report.snapshot,
+                        "margins": list(report.margins()),
+                        "holds": report.holds,
+                        "notes": list(report.notes),
+                    }
+                )
+    return BoundSurvey(
+        tuple(TheoremTally(t, n, held[t], worst[t], tuple(certs[t])) for t in selected)
+    )
+
+
+SURVEY_CONFIGS = [
+    {"orthogonal_only": o, "delta": d, "log_base": b, "scan_excludes_zero": s}
+    for o, d, b, s in itertools.product((False, True), (0.5, 2.0), (2.0, 10.0), (False, True))
+]
+SURVEY_IDS = [
+    f"{'ortho' if c['orthogonal_only'] else 'full'}-d{c['delta']}-b{c['log_base']:g}"
+    f"{'-scan' if c['scan_excludes_zero'] else ''}"
+    for c in SURVEY_CONFIGS
+]
+
+
+def kernel_and_scalar_margins(rng, n, config):
+    """Kernel margins of a chunk and the scalar evaluators' margins, per theorem."""
+    alpha, beta, amps = bounds._draw_chunk(rng, range(n), config["orthogonal_only"])
+    args = (config["delta"], config["log_base"], config["scan_excludes_zero"])
+    kernel = bounds._kernel_margins(list(THEOREM_ORDER), alpha, beta, amps, *args)
+    scalar = {t: [] for t in THEOREM_ORDER}
+    for j in range(n):
+        rows = amps[j].tolist()
+        inst, inst2 = (
+            amplitude_instance(
+                float(alpha[j]), float(beta[j]), psi, phi, config["delta"], config["log_base"]
+            )
+            for psi, phi in (rows[:2], rows[2:])
+        )
+        for theorem in THEOREM_ORDER:
+            report = evaluate(theorem, inst, inst2, config["scan_excludes_zero"])
+            scalar[theorem].append(report.margins())
+    return kernel, {t: np.array(m) for t, m in scalar.items()}
+
+
+class TestSurveyKernel:
+    @pytest.mark.parametrize("config", SURVEY_CONFIGS, ids=SURVEY_IDS)
+    def test_kernel_margins_match_scalar(self, config):
+        kernel, scalar = kernel_and_scalar_margins(RandomSource(77), 200, config)
+        for theorem in THEOREM_ORDER:
+            k, s = kernel[theorem], scalar[theorem]
+            assert k.shape == s.shape
+            assert not np.isnan(s).any()
+            finite = np.isfinite(s)
+            assert np.array_equal(k[~finite], s[~finite]), theorem
+            assert np.abs(k[finite] - s[finite]).max() <= 1e-12, theorem
+        if config["orthogonal_only"] and not config["scan_excludes_zero"]:
+            assert np.isinf(scalar["T4"]).any()  # zero amplitude: vacuous lower side
+
+    @pytest.mark.parametrize("config", SURVEY_CONFIGS, ids=SURVEY_IDS)
+    def test_survey_equals_scalar_loop(self, config):
+        survey = survey_bounds(RandomSource(9), 300, **config)
+        reference = scalar_survey(RandomSource(9), 300, **config)
+        assert survey.certificates()
+        assert survey.to_csv() == reference.to_csv()
+        assert json.dumps(survey.certificates()) == json.dumps(reference.certificates())
+
+    def test_selection_and_chunking_change_nothing(self, monkeypatch):
+        reference = scalar_survey(RandomSource(79), 300, theorems=("T1", "Chain11"))
+        survey = survey_bounds(RandomSource(79), 300, theorems=("T1", "Chain11"))
+        assert survey == reference
+        full = scalar_survey(RandomSource(79), 300)
+        monkeypatch.setattr(bounds, "SURVEY_CHUNK", 7)
+        assert survey_bounds(RandomSource(79), 300) == full
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"delta": 1.0},
+            {"delta": 1.0, "theorems": ("T6",)},
+            {"delta": None},
+            {"delta": -1.0, "theorems": ("T6", "T7")},
+            {"delta": 1.0, "log_base": 0.5},
+        ],
+        ids=["order-1", "t6-order-1", "no-order", "negative-order", "bad-base"],
+    )
+    def test_precondition_errors_match_scalar_loop(self, options):
+        with pytest.raises(ValueError) as expected:
+            scalar_survey(RandomSource(20), 50, **options)
+        with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+            survey_bounds(RandomSource(20), 50, **options)
+
+    @pytest.mark.parametrize(
+        "delta, log_base, gap, n",
+        [
+            (0.5, 2.0, 0.0, 300),
+            (1.0 + 1e-6, 2.0, bounds.RECHECK_BAND, 300),
+            (0.5, 1.0 + 1e-7, bounds.RECHECK_BAND, 1000),
+        ],
+        ids=["rounding", "near-order-1", "near-base-1"],
+    )
+    def test_threshold_between_kernel_and_scalar_margin(
+        self, monkeypatch, delta, log_base, gap, n
+    ):
+        # Put the hold threshold at a scalar margin whose kernel value lies
+        # more than ``gap`` below it: only the scalar recheck gives the
+        # per-sample loop's verdict.  A Renyi order or log base near 1
+        # magnifies rounding past RECHECK_BAND.
+        config = {**SURVEY_CONFIGS[0], "delta": delta, "log_base": log_base}
+        kernel, scalar = kernel_and_scalar_margins(RandomSource(80), n, config)
+        theorem, k, s = next(
+            (t, k, s)
+            for t in THEOREM_ORDER
+            for k, s in zip(kernel[t].ravel().tolist(), scalar[t].ravel().tolist())
+            if s - k > gap
+        )
+        monkeypatch.setattr(bounds, "MARGIN_TOL", -s)
+        survey = survey_bounds(RandomSource(80), n, theorems=(theorem,), **config)
+        assert survey == scalar_survey(RandomSource(80), n, theorems=(theorem,), **config)

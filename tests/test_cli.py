@@ -288,6 +288,20 @@ class TestCli:
         assert "theorem = T1" in out
         assert "theorem = T2" not in out  # needs 3x3 components
 
+    def test_bounds_instance_all_equals_omitted_selection(self, tmp_path, capsys):
+        certs = tmp_path / "certs"
+        argv = ["bounds", "--random", "300", "--seed", "3", "--theorems", "t1"]
+        assert cli.run(argv + ["--certs", str(certs)]) == 0
+        path = str(next(certs.glob("T1-*.json")))
+        capsys.readouterr()
+        assert cli.run(["bounds", "--instance", path]) == 0
+        omitted = capsys.readouterr().out
+        assert cli.run(["bounds", "--instance", path, "--theorems", "all"]) == 0
+        assert capsys.readouterr().out == omitted
+        assert "theorem = T9" in omitted and "Chain11" not in omitted
+        assert cli.run(["bounds", "--instance", path, "--theorems", "chain11"]) == 2
+        assert "psi_prime/phi_prime" in capsys.readouterr().err
+
     def test_bounds_instance_explicit_precondition_failure_exits_2(self, tmp_path, capsys):
         s2 = 1 / math.sqrt(2)
         doc = {

@@ -219,6 +219,10 @@ class TestValidateTables:
         with pytest.raises(ValueError, match="at least 1"):
             validate_tables(rows_for_case(catalog, "I"), 0, RandomSource(1))
 
+    def test_negative_certificate_cap_rejected(self, catalog):
+        with pytest.raises(ValueError, match="max_certificates must be non-negative"):
+            validate_tables(catalog, 100, RandomSource(1), max_certificates=-1)
+
     def test_counts_are_consistent(self, catalog):
         report = validate_tables(rows_for_case(catalog, "II"), 600, RandomSource(4))
         for tally in report.rows:
