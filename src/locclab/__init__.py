@@ -5,7 +5,6 @@ from .bounds import (
     BoundInstance,
     BoundReport,
     BoundSurvey,
-    eval_chain_inequality,
     evaluate,
     replay_certificate,
     survey_bounds,

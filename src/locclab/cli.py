@@ -110,8 +110,11 @@ def _cmd_classify(args) -> int:
 def _cmd_measure(args) -> int:
     state = _read_state(args.state, args.renormalize)
     schmidt = schmidt_of_state(state)
+    kinds = [k.strip() for k in args.measures.split(",") if k.strip()]
+    if not kinds:
+        raise ValueError(f"--measures names no measure (choose from {','.join(MEASURE_KINDS)})")
     pairs = [("schmidt", schmidt.probs)]
-    for kind in [k.strip() for k in args.measures.split(",") if k.strip()]:
+    for kind in kinds:
         pairs.append((kind, compute_measure(kind, schmidt, delta=args.delta, base=args.base)))
         if kind == RENYI:
             pairs.append(("renyi_delta", args.delta))
@@ -180,10 +183,11 @@ def _bounds_instance(args, theorems: list[str] | None) -> int:
         snap["delta"] = args.delta
     inst = instance_from_snapshot(snap)
     second = second_instance_from_snapshot(snap)
+    scan_excludes_zero = args.scan_exclude_zeros or bool(snap.get("scan_excludes_zero", False))
     blocks = []
     for theorem in theorems or THEOREM_ORDER:
         try:
-            report = evaluate(theorem, inst, second, args.scan_exclude_zeros)
+            report = evaluate(theorem, inst, second, scan_excludes_zero)
         except PreconditionError:
             if theorems is not None:
                 raise

@@ -37,10 +37,20 @@ def negativity(v: SchmidtVector) -> float:
     return (root_sum * root_sum - 1.0) / 2.0
 
 
+def require_log_base(base: float) -> None:
+    """Reject a log base that is not a finite number above 1."""
+    if not (math.isfinite(base) and base > 1.0):
+        raise ValueError(f"log base must be finite and exceed 1, got {base!r}")
+
+
+def renyi_underflow(delta: float) -> ValueError:
+    """The error for a Renyi power sum that underflows to zero: its log is -inf."""
+    return ValueError(f"Renyi power sum of p**delta underflows to 0 at order delta = {delta!r}")
+
+
 def log_negativity(v: SchmidtVector, base: float = 2.0) -> float:
     """log of the squared root-probability sum, equal to log(2 negativity + 1)."""
-    if not base > 1.0:
-        raise ValueError(f"log base must exceed 1, got {base!r}")
+    require_log_base(base)
     root_sum = sum(math.sqrt(p) for p in v.probs)
     # log2 directly, not log(x)/log(2): keeps the composition with negativity
     # bit-exact in the default base.
@@ -61,6 +71,8 @@ def renyi_entropy(v: SchmidtVector, delta: float) -> float:
     if delta == 1.0:
         return 0.0 + -sum(p * math.log(p) for p in v.probs if p > 0.0)
     power_sum = sum(p**delta for p in v.probs if p > 0.0)
+    if power_sum == 0.0:
+        raise renyi_underflow(delta)
     return 0.0 + math.log(power_sum) / (1.0 - delta)
 
 

@@ -15,22 +15,13 @@ from locclab.bounds import (
     BoundInstance,
     BoundSurvey,
     TheoremTally,
-    eval_chain_inequality,
-    eval_t1,
-    eval_t2,
-    eval_t3,
-    eval_t4,
-    eval_t5,
-    eval_t6,
-    eval_t7,
-    eval_t8,
-    eval_t9,
     evaluate,
     instance_from_snapshot,
     replay_certificate,
     second_instance_from_snapshot,
     survey_bounds,
 )
+from locclab.measures import entropy_of_entanglement, log_negativity, negativity, renyi_entropy
 from locclab.states import PreconditionError, PureState, RandomSource, draw_weight
 from locclab.superpose import SuperpositionSpec
 
@@ -62,7 +53,7 @@ def split_instance():
 
 class TestNegativityBounds:
     def test_t1_intro_holds_with_equality_at_upper(self, intro_instance):
-        report = eval_t1(intro_instance)
+        report = evaluate("T1", intro_instance)
         assert report.lower_lhs == pytest.approx(0.0, abs=1e-12)
         assert report.lower_rhs == pytest.approx(0.5, abs=1e-12)
         assert report.upper_rhs == pytest.approx(0.5, abs=1e-12)
@@ -71,10 +62,10 @@ class TestNegativityBounds:
 
     def test_t1_lower_margin_exactly_zero_at_degenerate_weight(self):
         inst = instance(1.0, (0.5, 0.3, 0.2), (0.2, 0.2, 0.6))
-        assert eval_t1(inst).margin_lower == 0.0
+        assert evaluate("T1", inst).margin_lower == 0.0
 
     def test_t2_amplitude_scan_brackets(self, split_instance):
-        t2 = eval_t2(split_instance)
+        t2 = evaluate("T2", split_instance)
         # min over pooled amplitudes is 0, max is 1, prefactor 9*2
         assert t2.lower_lhs == pytest.approx(-0.5, abs=1e-12)
         assert t2.upper_rhs == pytest.approx(8.5, abs=1e-12)
@@ -82,11 +73,11 @@ class TestNegativityBounds:
 
     def test_t2_needs_three_by_three(self, intro_instance):
         with pytest.raises(PreconditionError, match="3x3"):
-            eval_t2(intro_instance)
+            evaluate("T2", intro_instance)
 
     def test_t2_zero_exclusion_flag(self, split_instance):
-        default = eval_t2(split_instance)
-        trimmed = eval_t2(split_instance, scan_excludes_zero=True)
+        default = evaluate("T2", split_instance)
+        trimmed = evaluate("T2", split_instance, scan_excludes_zero=True)
         assert default.lower_lhs == pytest.approx(-0.5, abs=1e-12)
         assert trimmed.lower_lhs > default.lower_lhs
 
@@ -95,7 +86,7 @@ class TestLogNegativityBounds:
     def test_t3_violated_for_fully_overlapping_components(self):
         psi = vec((0.5, 0.3, 0.2))
         inst = BoundInstance.build(SuperpositionSpec(S2, S2, psi, psi))
-        report = eval_t3(inst)
+        report = evaluate("T3", inst)
         # combined state equals the component, but the bound adds 2 + log(1/2)
         assert report.margin_lower == pytest.approx(-1.0, abs=1e-9)
         assert not report.holds
@@ -104,10 +95,10 @@ class TestLogNegativityBounds:
     def test_t3_needs_two_weights(self):
         inst = instance(1.0, (0.5, 0.3, 0.2), (0.2, 0.2, 0.6))
         with pytest.raises(PreconditionError, match="alpha\\*beta"):
-            eval_t3(inst)
+            evaluate("T3", inst)
 
     def test_t4_vacuous_lower_and_finite_upper(self, split_instance):
-        t4 = eval_t4(split_instance)
+        t4 = evaluate("T4", split_instance)
         assert t4.lower_lhs == -math.inf
         assert t4.margin_lower == math.inf
         assert t4.upper_rhs == pytest.approx(4.169925001442312, abs=1e-12)
@@ -118,7 +109,7 @@ class TestLogNegativityBounds:
 
 class TestRenyiBounds:
     def test_t5_direct_evaluation(self, split_instance):
-        t5 = eval_t5(split_instance)
+        t5 = evaluate("T5", split_instance)
         expected_lower = (
             math.log(3.0 * 0.5**4) / (1.0 - 2.0)
             + math.log(0.36 + 0.16) / (1.0 - 2.0)
@@ -128,7 +119,7 @@ class TestRenyiBounds:
         assert t5.lower_rhs == pytest.approx(0.967584026261706, abs=1e-12)
 
     def test_t6_crossed_interval_above_order_one(self, split_instance):
-        t6 = eval_t6(split_instance)
+        t6 = evaluate("T6", split_instance)
         assert t6.lower_lhs == pytest.approx(3.218875824868201, abs=1e-12)
         assert t6.upper_rhs == pytest.approx(1.386294361119891, abs=1e-12)
         assert t6.lower_rhs == pytest.approx(0.967584026261706, abs=1e-12)
@@ -137,7 +128,7 @@ class TestRenyiBounds:
 
     def test_t6_point_mass_components_with_zero_exclusion(self):
         inst = instance(S2, (1.0, 0.0, 0.0), (1.0, 0.0, 0.0), delta=0.5)
-        report = eval_t6(inst, scan_excludes_zero=True)
+        report = evaluate("T6", inst, scan_excludes_zero=True)
         # single joint amplitude alpha+beta = sqrt(2): both sides are ln 2
         assert report.lower_lhs == pytest.approx(math.log(2.0), abs=1e-12)
         assert report.upper_rhs == pytest.approx(math.log(2.0), abs=1e-12)
@@ -147,7 +138,7 @@ class TestRenyiBounds:
 
     def test_t6_zero_joint_amplitude_included_by_default(self):
         inst = instance(S2, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), delta=2.0)
-        report = eval_t6(inst)
+        report = evaluate("T6", inst)
         assert report.lower_lhs == math.inf  # negative prefactor at ln(0)
         assert not report.holds
         assert any("infinite" in note for note in report.notes)
@@ -167,7 +158,7 @@ class TestRenyiBounds:
 
 class TestEntropyBounds:
     def test_t7_intro(self, intro_instance):
-        t7 = eval_t7(intro_instance)
+        t7 = evaluate("T7", intro_instance)
         assert t7.upper_lhs == pytest.approx(1.0, abs=1e-12)
         assert t7.upper_rhs == pytest.approx(2.0, abs=1e-12)
         assert t7.holds
@@ -183,16 +174,16 @@ class TestEntropyBounds:
         ]
         fixed_phi = (0.7, 0.2, 0.1)
         uppers = [
-            eval_t7(instance(alpha, level, fixed_phi)).upper_rhs for level in levels
+            evaluate("T7", instance(alpha, level, fixed_phi)).upper_rhs for level in levels
         ]
         assert all(a <= b + 1e-12 for a, b in zip(uppers, uppers[1:]))
         uppers_phi = [
-            eval_t7(instance(alpha, fixed_phi, level)).upper_rhs for level in levels
+            evaluate("T7", instance(alpha, fixed_phi, level)).upper_rhs for level in levels
         ]
         assert all(a <= b + 1e-12 for a, b in zip(uppers_phi, uppers_phi[1:]))
 
     def test_t8_intro_literal_weights(self, intro_instance):
-        t8 = eval_t8(intro_instance)
+        t8 = evaluate("T8", intro_instance)
         # bare weights, exactly as the bound is written: the combined state's
         # one bit exceeds the bound, so this instance is a violation
         assert t8.upper_rhs == pytest.approx(0.7071067811865476, abs=1e-12)
@@ -202,12 +193,12 @@ class TestEntropyBounds:
 
     def test_t8_degenerate_weight_reduces_to_component_entropy(self):
         inst = instance(1.0, (0.5, 0.3, 0.2), (0.2, 0.2, 0.6))
-        t8 = eval_t8(inst)
+        t8 = evaluate("T8", inst)
         assert t8.upper_rhs == t8.upper_lhs  # E(psi) on both sides, exactly
         assert t8.holds
 
     def test_t9_parse_and_alternative(self, split_instance):
-        t9 = eval_t9(split_instance)
+        t9 = evaluate("T9", split_instance)
         assert t9.upper_rhs == pytest.approx(4.169925001442312, abs=1e-12)
         assert any("4.482950928745271" in note for note in t9.notes)
 
@@ -215,21 +206,21 @@ class TestEntropyBounds:
 class TestChain:
     def test_symmetric_coefficients_give_zero_first_link(self, split_instance):
         other = instance(S2, (0.6, 0.4, 0.0), (0.0, 0.0, 1.0), delta=2.0)
-        report = eval_chain_inequality(split_instance, other)
+        report = evaluate("Chain11", split_instance, other)
         assert report.chain_terms is not None and len(report.chain_terms) == 6
         assert report.chain_margins[0] == pytest.approx(0.0, abs=1e-15)
         assert report.chain_margins[2] == pytest.approx(0.0, abs=1e-15)
 
     def test_orthogonal_needs_both_superpositions_orthogonal(self, split_instance):
         overlapping = instance(S2, (0.6, 0.4, 0.0), (0.5, 0.3, 0.2), delta=2.0)
-        assert eval_chain_inequality(split_instance, split_instance).orthogonal
-        assert not eval_chain_inequality(split_instance, overlapping).orthogonal
-        assert not eval_chain_inequality(overlapping, split_instance).orthogonal
+        assert evaluate("Chain11", split_instance, split_instance).orthogonal
+        assert not evaluate("Chain11", split_instance, overlapping).orthogonal
+        assert not evaluate("Chain11", overlapping, split_instance).orthogonal
 
     def test_weight_mismatch_rejected(self, split_instance):
         other = instance(0.5, (0.6, 0.4, 0.0), (0.0, 0.0, 1.0))
         with pytest.raises(PreconditionError, match="equal weights"):
-            eval_chain_inequality(split_instance, other)
+            evaluate("Chain11", split_instance, other)
 
     def test_missing_second_instance_rejected(self, split_instance):
         with pytest.raises(PreconditionError, match="psi_prime"):
@@ -242,7 +233,7 @@ class TestChain:
             alpha = 0.3 + 0.4 * float(gen.random())
             a = instance(alpha, sorted_simplex(np_gen, 3), sorted_simplex(np_gen, 3))
             b = instance(alpha, sorted_simplex(np_gen, 3), sorted_simplex(np_gen, 3))
-            report = eval_chain_inequality(a, b)
+            report = evaluate("Chain11", a, b)
             bad = [i for i, m in enumerate(report.chain_margins) if m < -1e-9]
             if bad:
                 flagged += 1
@@ -269,11 +260,70 @@ class TestEvaluatorOracle:
                 worst = max(worst, compare_report(report, sides))
         assert worst <= 1e-12
 
+    @pytest.mark.parametrize(
+        "psi, phi",
+        [
+            ([[0.6, -0.2, 0.1], [0.3, 0.5, -0.4]], [[-0.1, 0.7, 0.2], [0.4, 0.1, 0.3]]),
+            ([0.8, 0.6], [0.28, 0.96]),
+        ],
+        ids=["matrix-2x3", "vector-2"],
+    )
+    def test_any_form_and_dimension_match_measures(self, psi, phi):
+        def state(amps):
+            amps = np.array(amps) / np.linalg.norm(amps)
+            return PureState.vector(amps) if amps.ndim == 1 else PureState.matrix(amps)
+
+        alpha, delta, base = 0.6, 0.5, 10.0
+        spec = SuperpositionSpec(alpha, 0.8, state(psi), state(phi))
+        inst = BoundInstance.build(spec, delta, base)
+        beta, ab = inst.beta, alpha * inst.beta
+        g, p, q = inst.gamma.schmidt, inst.psi_schmidt, inst.phi_schmidt
+        n_combo = alpha**2 * negativity(p) + beta**2 * negativity(q)
+        e_g, e_p, e_q = (entropy_of_entanglement(v) for v in (g, p, q))
+        expected = {
+            "T1": (n_combo, negativity(g), n_combo + ab),
+            "T3": (
+                0.5 * (log_negativity(p, base) + log_negativity(q, base))
+                + 2.0
+                + math.log(ab, base),
+                log_negativity(g, base),
+                None,
+            ),
+            "T5": (
+                math.log(3.0 * ab ** (2.0 * delta)) / (1.0 - delta)
+                + renyi_entropy(p, delta)
+                + renyi_entropy(q, delta),
+                renyi_entropy(g, delta),
+                None,
+            ),
+            "T7": (
+                None,
+                e_g,
+                (alpha * math.sqrt(e_p + 1.0) + beta * math.sqrt(e_q + 1.0)) ** 2,
+            ),
+            "T8": (
+                None,
+                e_g,
+                alpha * e_p + beta * e_q - alpha * math.log2(alpha) - beta * math.log2(beta),
+            ),
+        }
+        for theorem, (lower, value, upper) in expected.items():
+            report = evaluate(theorem, inst)
+            value_side = report.upper_lhs if report.lower_lhs is None else report.lower_rhs
+            got = (report.lower_lhs, value_side, report.upper_rhs)
+            assert (got[0] is None, got[2] is None) == (lower is None, upper is None), theorem
+            for mine, ref in zip(got, (lower, value, upper)):
+                if ref is not None:
+                    assert abs(mine - ref) <= 1e-12, theorem
+        for theorem in ("T2", "T4", "T9"):
+            with pytest.raises(PreconditionError, match="3x3 vector-form"):
+                evaluate(theorem, inst)
+
     def test_snapshot_round_trips_through_json(self, split_instance):
-        report = eval_t1(split_instance)
+        report = evaluate("T1", split_instance)
         snap = json.loads(json.dumps(report.snapshot))
         rebuilt = instance_from_snapshot(snap)
-        again = eval_t1(rebuilt)
+        again = evaluate("T1", rebuilt)
         assert again.margin_lower == report.margin_lower
         assert again.margin_upper == report.margin_upper
 
@@ -365,7 +415,7 @@ def scalar_survey(
     rng, n, *, theorems=THEOREM_ORDER, orthogonal_only=False, delta=2.0, log_base=2.0,
     scan_excludes_zero=False,
 ):
-    """The per-sample survey loop: every sample through the scalar evaluators."""
+    """The per-sample survey loop: every sample through `evaluate` alone."""
     selected = [t for t in THEOREM_ORDER if t in set(theorems)]
     held = dict.fromkeys(selected, 0)
     worst = dict.fromkeys(selected)
@@ -412,10 +462,12 @@ SURVEY_IDS = [
 
 
 def kernel_and_scalar_margins(rng, n, config):
-    """Kernel margins of a chunk and the scalar evaluators' margins, per theorem."""
+    """Margins of one n-row chunk and of ``evaluate`` on each row alone, per theorem."""
     alpha, beta, amps = bounds._draw_chunk(rng, range(n), config["orthogonal_only"])
     args = (config["delta"], config["log_base"], config["scan_excludes_zero"])
-    kernel = bounds._kernel_margins(list(THEOREM_ORDER), alpha, beta, amps, *args)
+    second = bounds._amplitude_rows(alpha, beta, amps[:, 2], amps[:, 3])
+    chunk = bounds._amplitude_rows(alpha, beta, amps[:, 0], amps[:, 1], second)
+    kernel = {t: bounds._sides(t, chunk, *args).margins for t in THEOREM_ORDER}
     scalar = {t: [] for t in THEOREM_ORDER}
     for j in range(n):
         rows = amps[j].tolist()
@@ -437,11 +489,8 @@ class TestSurveyKernel:
         kernel, scalar = kernel_and_scalar_margins(RandomSource(77), 200, config)
         for theorem in THEOREM_ORDER:
             k, s = kernel[theorem], scalar[theorem]
-            assert k.shape == s.shape
             assert not np.isnan(s).any()
-            finite = np.isfinite(s)
-            assert np.array_equal(k[~finite], s[~finite]), theorem
-            assert np.abs(k[finite] - s[finite]).max() <= 1e-12, theorem
+            assert np.array_equal(k, s), theorem
         if config["orthogonal_only"] and not config["scan_excludes_zero"]:
             assert np.isinf(scalar["T4"]).any()  # zero amplitude: vacuous lower side
 
@@ -458,8 +507,9 @@ class TestSurveyKernel:
         survey = survey_bounds(RandomSource(79), 300, theorems=("T1", "Chain11"))
         assert survey == reference
         full = scalar_survey(RandomSource(79), 300)
-        monkeypatch.setattr(bounds, "SURVEY_CHUNK", 7)
-        assert survey_bounds(RandomSource(79), 300) == full
+        for chunk in (7, 1):
+            monkeypatch.setattr(bounds, "SURVEY_CHUNK", chunk)
+            assert survey_bounds(RandomSource(79), 300) == full
 
     @pytest.mark.parametrize(
         "options",
@@ -477,31 +527,3 @@ class TestSurveyKernel:
             scalar_survey(RandomSource(20), 50, **options)
         with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
             survey_bounds(RandomSource(20), 50, **options)
-
-    @pytest.mark.parametrize(
-        "delta, log_base, gap, n",
-        [
-            (0.5, 2.0, 0.0, 300),
-            (1.0 + 1e-6, 2.0, bounds.RECHECK_BAND, 300),
-            (0.5, 1.0 + 1e-7, bounds.RECHECK_BAND, 1000),
-        ],
-        ids=["rounding", "near-order-1", "near-base-1"],
-    )
-    def test_threshold_between_kernel_and_scalar_margin(
-        self, monkeypatch, delta, log_base, gap, n
-    ):
-        # Put the hold threshold at a scalar margin whose kernel value lies
-        # more than ``gap`` below it: only the scalar recheck gives the
-        # per-sample loop's verdict.  A Renyi order or log base near 1
-        # magnifies rounding past RECHECK_BAND.
-        config = {**SURVEY_CONFIGS[0], "delta": delta, "log_base": log_base}
-        kernel, scalar = kernel_and_scalar_margins(RandomSource(80), n, config)
-        theorem, k, s = next(
-            (t, k, s)
-            for t in THEOREM_ORDER
-            for k, s in zip(kernel[t].ravel().tolist(), scalar[t].ravel().tolist())
-            if s - k > gap
-        )
-        monkeypatch.setattr(bounds, "MARGIN_TOL", -s)
-        survey = survey_bounds(RandomSource(80), n, theorems=(theorem,), **config)
-        assert survey == scalar_survey(RandomSource(80), n, theorems=(theorem,), **config)

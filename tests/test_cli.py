@@ -138,6 +138,36 @@ class TestCli:
         assert code == 2
         assert "unknown measure" in capsys.readouterr().err
 
+    def test_measure_empty_list_exits_2(self, fixture_files, capsys):
+        assert cli.run(["measure", fixture_files["a"], "--measures", ","]) == 2
+        captured = capsys.readouterr()
+        assert "names no measure" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["measure", "superpose", "bounds"])
+    def test_non_finite_log_base_exits_2(self, fixture_files, capsys, command):
+        argv = {
+            "measure": ["measure", fixture_files["a"]],
+            "superpose": ["superpose", fixture_files["a"], fixture_files["b"]]
+            + ["--alpha", "0.6", "--beta", "0.8"],
+            "bounds": ["bounds", "--random", "3", "--seed", "1", "--theorems", "t3"],
+        }[command]
+        assert cli.run(argv + ["--base", "inf"]) == 2
+        captured = capsys.readouterr()
+        assert "log base must be finite and exceed 1" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["measure", "bounds"])
+    def test_renyi_underflow_exits_2(self, fixture_files, capsys, command):
+        if command == "measure":
+            argv = ["measure", fixture_files["a"], "--measures", "renyi"]
+        else:
+            argv = ["bounds", "--random", "3", "--seed", "1", "--theorems", "t5"]
+        assert cli.run(argv + ["--delta", "2000"]) == 2
+        captured = capsys.readouterr()
+        assert "Renyi power sum" in captured.err and "2000.0" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("delta", ["nan", "inf"])
     @pytest.mark.parametrize("command", ["measure", "bounds"])
     def test_non_finite_renyi_order_exits_2(self, fixture_files, capsys, command, delta):
@@ -371,6 +401,24 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "holds = false" in out
+
+    def test_certificate_replay_keeps_its_zero_exclusion(self, tmp_path, capsys):
+        cert_dir = tmp_path / "certs"
+        argv = ["bounds", "--random", "40", "--seed", "3", "--orthogonal-only"]
+        argv += ["--scan-exclude-zeros", "--delta", "0.5", "--theorems", "t2,t4,t6,t9"]
+        assert cli.run(argv + ["--certs", str(cert_dir)]) == 0
+        cert_files = sorted(cert_dir.glob("*.json"))
+        assert cert_files
+        for path in cert_files:
+            cert = json.loads(path.read_text())
+            assert cert["snapshot"]["scan_excludes_zero"]
+            capsys.readouterr()
+            argv = ["bounds", "--instance", str(path), "--theorems", cert["snapshot"]["theorem"]]
+            assert cli.run(argv) == 0
+            out = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
+            margins = [float(out[k]) for k in ("margin_lower", "margin_upper") if k in out]
+            assert margins == cert["margins"], path.name
+            assert out["holds"] == ("true" if cert["holds"] else "false")
 
     @pytest.mark.parametrize(
         "argv",
