@@ -9,16 +9,16 @@ emitted as replayable certificates.  Ambiguities in the bound statements
 literally and flagged in the report notes rather than silently corrected.
 
 Each bound is written once, as array code over a batch of instances
-(:func:`_sides`): :func:`evaluate` runs it on a batch of one, and
-:func:`survey_bounds` on chunks of sampled instances, so a sample gives the
-same bits alone and inside a survey.
+(``eval_t1`` .. ``eval_t9`` and ``eval_chain_inequality``): :func:`evaluate`
+runs it on a batch of one, and :func:`survey_bounds` on chunks of sampled
+instances, so a sample gives the same bits alone and inside a survey.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Collection, Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -30,7 +30,6 @@ from .states import (
     PreconditionError,
     PureState,
     RandomSource,
-    SchmidtVector,
     draw_sorted_simplex,
     draw_weight,
     schmidt_of_state,
@@ -81,12 +80,18 @@ class BoundInstance:
         return self.spec.beta
 
     @cached_property
-    def psi_schmidt(self) -> SchmidtVector:
-        return schmidt_of_state(self.spec.psi)
-
-    @cached_property
-    def phi_schmidt(self) -> SchmidtVector:
-        return schmidt_of_state(self.spec.phi)
+    def rows(self) -> _Rows:
+        """The instance, of any form, as a one-row batch from its Schmidt vectors."""
+        vector = self.spec.psi.is_vector
+        return _Rows(
+            np.array([self.alpha]),
+            np.array([self.beta]),
+            np.array([self.gamma.schmidt.probs]),
+            np.array([schmidt_of_state(self.spec.psi).probs]),
+            np.array([schmidt_of_state(self.spec.phi).probs]),
+            np.array([self.spec.psi.amplitudes]) if vector else None,
+            np.array([self.spec.phi.amplitudes]) if vector else None,
+        )
 
 
 @dataclass(frozen=True)
@@ -265,21 +270,6 @@ def _amplitude_rows(alpha, beta, psi, phi, second: _Rows | None = None) -> _Rows
     )
 
 
-def _instance_rows(inst: BoundInstance, second: BoundInstance | None = None) -> _Rows:
-    """One-row batch of an instance of any form, from its Schmidt vectors."""
-    vector = inst.spec.psi.is_vector
-    return _Rows(
-        np.array([inst.alpha]),
-        np.array([inst.beta]),
-        np.array([inst.gamma.schmidt.probs]),
-        np.array([inst.psi_schmidt.probs]),
-        np.array([inst.phi_schmidt.probs]),
-        np.array([inst.spec.psi.amplitudes]) if vector else None,
-        np.array([inst.spec.phi.amplitudes]) if vector else None,
-        None if second is None else _instance_rows(second),
-    )
-
-
 def _negativity(p: np.ndarray) -> np.ndarray:
     root_sum = _row_sum(np.sqrt(p))
     return (root_sum * root_sum - 1.0) / 2.0
@@ -337,148 +327,169 @@ class _Sides:
         return np.all(self.margins >= -MARGIN_TOL, axis=1)
 
 
-def _sides(
-    theorem: str, rows: _Rows, delta: float, log_base: float, scan_excludes_zero: bool
-) -> _Sides:
-    """Both sides of ``theorem`` on every row.
+def _scan(rows: _Rows, scan_excludes_zero: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest pooled component amplitude (root coefficient) of
+    each row; the smallest skips zeros when ``scan_excludes_zero`` is set."""
+    pool = np.concatenate([rows.psi, rows.phi], axis=1)
+    scanned = np.where(pool > 0.0, pool, np.inf) if scan_excludes_zero else pool
+    return scanned.min(axis=1), pool.max(axis=1)
 
-    T2, T4, T9 and the chain need 3x3 vector-form rows, T6 vector-form rows;
-    the others take any form and dimension.  The scans run over the pooled
-    component amplitudes (the root coefficients), without their zeros when
-    ``scan_excludes_zero`` is set.
-    """
+
+def _coefficient_term(rows: _Rows, x: np.ndarray) -> np.ndarray:
+    """(9 (alpha+beta)^2 x^2 - 1)/2, negativity's shape at a scanned amplitude."""
+    return 0.5 * (9.0 * (rows.alpha + rows.beta) ** 2 * x**2 - 1.0)
+
+
+# One function per bound, each over a whole batch of rows.  T2, T4, T9 and
+# the chain need 3x3 vector-form rows, T6 vector-form rows; the others take
+# any form and dimension.  bench/tracer.py times these names as the
+# ``bounds.evaluators`` layer.
+
+
+def eval_t1(rows: _Rows, delta: float, log_base: float, scan_excludes_zero: bool) -> _Sides:
+    """Weighted component negativities bound the combined negativity both ways."""
+    combo = rows.alpha**2 * _negativity(rows.p_psi) + rows.beta**2 * _negativity(rows.p_phi)
+    return _Sides(
+        combo, _negativity(rows.p_gamma), combo + rows.alpha * rows.beta,
+        notes=lambda j: (_NEGATIVITY_NOTE,),
+    )
+
+
+def eval_t2(rows: _Rows, delta: float, log_base: float, scan_excludes_zero: bool) -> _Sides:
+    """Negativity bracketed at the extreme amplitudes."""
+    lo, hi = _scan(rows, scan_excludes_zero)
+    return _Sides(
+        _coefficient_term(rows, lo), _negativity(rows.p_gamma), _coefficient_term(rows, hi),
+        notes=lambda j: (_NEGATIVITY_NOTE,),
+    )
+
+
+def eval_t3(rows: _Rows, delta: float, log_base: float, scan_excludes_zero: bool) -> _Sides:
+    """Mean component log-negativity plus 2 + log(alpha beta) as a floor."""
+    ab = rows.alpha * rows.beta
+    lower = (
+        0.5 * (_log_negativity(rows.p_psi, log_base) + _log_negativity(rows.p_phi, log_base))
+        + 2.0
+        + np.log(ab) / math.log(log_base)
+    )
+    return _Sides(lower, _log_negativity(rows.p_gamma, log_base))
+
+
+def eval_t4(rows: _Rows, delta: float, log_base: float, scan_excludes_zero: bool) -> _Sides:
+    """Log-negativity bracket 2 log(3 (alpha+beta) amp) at the extreme amplitudes."""
+    lo, hi = _scan(rows, scan_excludes_zero)
+    spread = 3.0 * (rows.alpha + rows.beta)
+    lower = np.where(
+        lo > 0.0,
+        2.0 * np.log(spread * np.where(lo > 0.0, lo, 1.0)) / math.log(log_base),
+        -np.inf,
+    )
+    vacuous = ("lower bound -inf (zero amplitude in scan): vacuously holds",)
+    return _Sides(
+        lower,
+        _log_negativity(rows.p_gamma, log_base),
+        2.0 * np.log(spread * hi) / math.log(log_base),
+        notes=lambda j: () if lo[j] > 0.0 else vacuous,
+    )
+
+
+def eval_t5(rows: _Rows, delta: float, log_base: float, scan_excludes_zero: bool) -> _Sides:
+    """Component Renyi entropies plus ln(3 (alpha beta)^(2 delta))/(1-delta), the
+    log expanded for numerical stability at small alpha beta."""
+    ab = rows.alpha * rows.beta
+    lower = (
+        (math.log(3.0) + 2.0 * delta * np.log(ab)) / (1.0 - delta)
+        + _renyi(rows.p_psi, delta)
+        + _renyi(rows.p_phi, delta)
+    )
+    return _Sides(lower, _renyi(rows.p_gamma, delta))
+
+
+def eval_t6(rows: _Rows, delta: float, log_base: float, scan_excludes_zero: bool) -> _Sides:
+    """Renyi entropy against (2 delta/(1-delta)) ln of the extreme unnormalized
+    joint amplitudes alpha*sqrt(a_i) + beta*sqrt(b_i).  For delta > 1 the
+    prefactor is negative, so the written lower side can exceed the upper
+    side; the crossing is flagged, not corrected."""
+    eta = rows.alpha[:, None] * rows.psi + rows.beta[:, None] * rows.phi
+    eta_lo = (np.where(eta > 0.0, eta, np.inf) if scan_excludes_zero else eta).min(axis=1)
+    coef = 2.0 * delta / (1.0 - delta)
+
+    def side(amp: np.ndarray) -> np.ndarray:
+        at_zero = -np.inf if coef > 0.0 else np.inf
+        return np.where(amp > 0.0, coef * np.log(np.where(amp > 0.0, amp, 1.0)), at_zero)
+
+    lower, upper = side(eta_lo), side(eta.max(axis=1))
+
+    def notes(j: int) -> tuple[str, ...]:
+        found = []
+        if eta_lo[j] <= 0.0:
+            found.append("zero joint amplitude in scan: bound side is infinite")
+        if lower[j] > upper[j]:
+            found.append("bound sides cross: prefactor 2*delta/(1-delta) is negative")
+        return tuple(found)
+
+    return _Sides(lower, _renyi(rows.p_gamma, delta), upper, notes=notes)
+
+
+def eval_t7(rows: _Rows, delta: float, log_base: float, scan_excludes_zero: bool) -> _Sides:
+    """Entropy bounded by the squared weighted root-entropies-plus-one."""
+    upper = (
+        rows.alpha * np.sqrt(_entropy(rows.p_psi) + 1.0)
+        + rows.beta * np.sqrt(_entropy(rows.p_phi) + 1.0)
+    ) ** 2
+    return _Sides(value=_entropy(rows.p_gamma), upper=upper)
+
+
+def eval_t8(rows: _Rows, delta: float, log_base: float, scan_excludes_zero: bool) -> _Sides:
+    """Weighted component entropies minus the weight log terms, the weights
+    linear exactly as written; the squared-weight reading (a binary entropy)
+    goes into the notes for comparison."""
     alpha, beta = rows.alpha, rows.beta
-    ab = alpha * beta
-    if theorem in ("T3", "T5") and not (ab > 0.0).all():
-        raise PreconditionError(f"{theorem} needs alpha*beta > 0 (log of the product is taken)")
+    e_psi, e_phi = _entropy(rows.p_psi), _entropy(rows.p_phi)
+    upper = alpha * e_psi + beta * e_phi - _xlog2x(alpha) - _xlog2x(beta)
+    a2, b2 = alpha * alpha, beta * beta
+    alt = a2 * e_psi + b2 * e_phi - _xlog2x(a2) - _xlog2x(b2)
+    return _Sides(
+        value=_entropy(rows.p_gamma),
+        upper=upper,
+        notes=lambda j: (f"alternative squared-weight reading gives upper {float(alt[j])!r}",),
+    )
 
-    def amplitude_scan() -> tuple[np.ndarray, np.ndarray]:
-        pool = np.concatenate([rows.psi, rows.phi], axis=1)
-        scanned = np.where(pool > 0.0, pool, np.inf) if scan_excludes_zero else pool
-        return scanned.min(axis=1), pool.max(axis=1)
 
-    def coefficient_term(x: np.ndarray) -> np.ndarray:
-        """(9 (alpha+beta)^2 x^2 - 1)/2, negativity's shape at a scanned amplitude."""
-        return 0.5 * (9.0 * (alpha + beta) ** 2 * x**2 - 1.0)
+def eval_t9(rows: _Rows, delta: float, log_base: float, scan_excludes_zero: bool) -> _Sides:
+    """Entropy against 2 log2(3 (alpha+beta)) times the largest amplitude: log2
+    of the full product, the parse (log2 3)*(alpha+beta) in the notes."""
+    _, hi = _scan(rows, scan_excludes_zero)
+    weight_sum = rows.alpha + rows.beta
+    alt = 2.0 * math.log2(3.0) * weight_sum * hi
+    return _Sides(
+        value=_entropy(rows.p_gamma),
+        upper=2.0 * np.log2(3.0 * weight_sum) * hi,
+        notes=lambda j: (
+            f"alternative parse (log2 3)*(alpha+beta) gives upper {float(alt[j])!r}",
+        ),
+    )
 
-    if theorem == "T1":
-        # Weighted component negativities bound the combined negativity both ways.
-        combo = alpha**2 * _negativity(rows.p_psi) + beta**2 * _negativity(rows.p_phi)
-        return _Sides(
-            combo, _negativity(rows.p_gamma), combo + ab,
-            notes=lambda j: (_NEGATIVITY_NOTE,),
-        )
-    if theorem == "T2":
-        # Negativity bracketed at the extreme amplitudes.
-        lo, hi = amplitude_scan()
-        return _Sides(
-            coefficient_term(lo), _negativity(rows.p_gamma), coefficient_term(hi),
-            notes=lambda j: (_NEGATIVITY_NOTE,),
-        )
-    if theorem == "T3":
-        # Mean component log-negativity plus 2 + log(alpha beta) as a floor.
-        lower = (
-            0.5 * (_log_negativity(rows.p_psi, log_base) + _log_negativity(rows.p_phi, log_base))
-            + 2.0
-            + np.log(ab) / math.log(log_base)
-        )
-        return _Sides(lower, _log_negativity(rows.p_gamma, log_base))
-    if theorem == "T4":
-        # Log-negativity bracket 2 log(3 (alpha+beta) amp) at the extreme amplitudes.
-        lo, hi = amplitude_scan()
-        spread = 3.0 * (alpha + beta)
-        lower = np.where(
-            lo > 0.0,
-            2.0 * np.log(spread * np.where(lo > 0.0, lo, 1.0)) / math.log(log_base),
-            -np.inf,
-        )
-        vacuous = ("lower bound -inf (zero amplitude in scan): vacuously holds",)
-        return _Sides(
-            lower,
-            _log_negativity(rows.p_gamma, log_base),
-            2.0 * np.log(spread * hi) / math.log(log_base),
-            notes=lambda j: () if lo[j] > 0.0 else vacuous,
-        )
-    if theorem == "T5":
-        # Component Renyi entropies plus ln(3 (alpha beta)^(2 delta))/(1-delta),
-        # the log expanded for numerical stability at small alpha beta.
-        lower = (
-            (math.log(3.0) + 2.0 * delta * np.log(ab)) / (1.0 - delta)
-            + _renyi(rows.p_psi, delta)
-            + _renyi(rows.p_phi, delta)
-        )
-        return _Sides(lower, _renyi(rows.p_gamma, delta))
-    if theorem == "T6":
-        # Renyi entropy against (2 delta/(1-delta)) ln of the extreme unnormalized
-        # joint amplitudes alpha*sqrt(a_i) + beta*sqrt(b_i).  For delta > 1 the
-        # prefactor is negative, so the written lower side can exceed the upper
-        # side; the crossing is flagged, not corrected.
-        eta = alpha[:, None] * rows.psi + beta[:, None] * rows.phi
-        eta_lo = (np.where(eta > 0.0, eta, np.inf) if scan_excludes_zero else eta).min(axis=1)
-        coef = 2.0 * delta / (1.0 - delta)
 
-        def side(amp: np.ndarray) -> np.ndarray:
-            at_zero = -np.inf if coef > 0.0 else np.inf
-            return np.where(amp > 0.0, coef * np.log(np.where(amp > 0.0, amp, 1.0)), at_zero)
-
-        lower, upper = side(eta_lo), side(eta.max(axis=1))
-
-        def notes(j: int) -> tuple[str, ...]:
-            found = []
-            if eta_lo[j] <= 0.0:
-                found.append("zero joint amplitude in scan: bound side is infinite")
-            if lower[j] > upper[j]:
-                found.append("bound sides cross: prefactor 2*delta/(1-delta) is negative")
-            return tuple(found)
-
-        return _Sides(lower, _renyi(rows.p_gamma, delta), upper, notes=notes)
-    if theorem == "T7":
-        # Entropy bounded by the squared weighted root-entropies-plus-one.
-        upper = (
-            alpha * np.sqrt(_entropy(rows.p_psi) + 1.0)
-            + beta * np.sqrt(_entropy(rows.p_phi) + 1.0)
-        ) ** 2
-        return _Sides(value=_entropy(rows.p_gamma), upper=upper)
-    if theorem == "T8":
-        # Weighted component entropies minus the weight log terms, the weights
-        # linear exactly as written; the squared-weight reading (a binary
-        # entropy) goes into the notes for comparison.
-        e_psi, e_phi = _entropy(rows.p_psi), _entropy(rows.p_phi)
-        upper = alpha * e_psi + beta * e_phi - _xlog2x(alpha) - _xlog2x(beta)
-        a2, b2 = alpha * alpha, beta * beta
-        alt = a2 * e_psi + b2 * e_phi - _xlog2x(a2) - _xlog2x(b2)
-        return _Sides(
-            value=_entropy(rows.p_gamma),
-            upper=upper,
-            notes=lambda j: (f"alternative squared-weight reading gives upper {float(alt[j])!r}",),
-        )
-    if theorem == "T9":
-        # Entropy against 2 log2(3 (alpha+beta)) times the largest amplitude: log2
-        # of the full product, the parse (log2 3)*(alpha+beta) in the notes.
-        _, hi = amplitude_scan()
-        alt = 2.0 * math.log2(3.0) * (alpha + beta) * hi
-        return _Sides(
-            value=_entropy(rows.p_gamma),
-            upper=2.0 * np.log2(3.0 * (alpha + beta)) * hi,
-            notes=lambda j: (
-                f"alternative parse (log2 3)*(alpha+beta) gives upper {float(alt[j])!r}",
-            ),
-        )
-    # Chain11, transcribed literally: the coefficient terms square the named
-    # squared Schmidt coefficients, the middle terms are min/max of the two
-    # negativities, and the last link compares a max against a min of first
-    # coefficients.  Links that fail are flagged, not repaired.
+def eval_chain_inequality(
+    rows: _Rows, delta: float, log_base: float, scan_excludes_zero: bool
+) -> _Sides:
+    """The six-term chain over ``rows`` and ``rows.second``, transcribed
+    literally: the coefficient terms square the named squared Schmidt
+    coefficients, the middle terms are min/max of the two negativities, and
+    the last link compares a max against a min of first coefficients.  Links
+    that fail are flagged, not repaired."""
     second = rows.second
     a, b = rows.psi * rows.psi, rows.phi * rows.phi
     ap, bp = second.psi * second.psi, second.phi * second.phi
     n_a, n_b = _negativity(rows.p_gamma), _negativity(second.p_gamma)
     terms = (
-        coefficient_term(np.minimum(ap[:, 2], bp[:, 2])),
-        coefficient_term(np.minimum(a[:, 2], b[:, 2])),
+        _coefficient_term(rows, np.minimum(ap[:, 2], bp[:, 2])),
+        _coefficient_term(rows, np.minimum(a[:, 2], b[:, 2])),
         np.minimum(n_a, n_b),
         np.maximum(n_a, n_b),
-        coefficient_term(np.maximum(ap[:, 0], bp[:, 0])),
-        coefficient_term(np.minimum(a[:, 0], b[:, 0])),
+        _coefficient_term(rows, np.maximum(ap[:, 0], bp[:, 0])),
+        _coefficient_term(rows, np.minimum(a[:, 0], b[:, 0])),
     )
     notes = (
         _NEGATIVITY_NOTE,
@@ -490,6 +501,22 @@ def _sides(
         "min(unprimed first coefficients), as written",
     )
     return _Sides(terms=terms, notes=lambda j: notes)
+
+
+# ``_BOUNDS[theorem](rows, delta, log_base, scan_excludes_zero)`` gives both
+# sides of ``theorem`` on every row.
+_BOUNDS = {
+    "T1": eval_t1,
+    "T2": eval_t2,
+    "T3": eval_t3,
+    "T4": eval_t4,
+    "T5": eval_t5,
+    "T6": eval_t6,
+    "T7": eval_t7,
+    "T8": eval_t8,
+    "T9": eval_t9,
+    "Chain11": eval_chain_inequality,
+}
 
 
 def _report(
@@ -573,8 +600,10 @@ def evaluate(
             _require_vector3_components(inst, theorem)
         if theorem == "T6" and not inst.spec.psi.is_vector:
             raise PreconditionError("T6 is stated for vector-form components")
-    rows = _instance_rows(inst, second)
-    sides = _sides(theorem, rows, inst.delta_param, inst.log_base, scan_excludes_zero)
+        if theorem in ("T3", "T5") and not inst.alpha * inst.beta > 0.0:
+            raise PreconditionError(f"{theorem} needs alpha*beta > 0 (log of the product is taken)")
+    rows = inst.rows if second is None else replace(inst.rows, second=second.rows)
+    sides = _BOUNDS[theorem](rows, inst.delta_param, inst.log_base, scan_excludes_zero)
     return _report(theorem, sides, 0, inst, second, scan_excludes_zero)
 
 
@@ -709,7 +738,7 @@ def survey_bounds(
         rows = _amplitude_rows(alpha, beta, amps[:, 0], amps[:, 1], second)
 
         for theorem in selected:
-            sides = _sides(theorem, rows, delta, log_base, scan_excludes_zero)
+            sides = _BOUNDS[theorem](rows, delta, log_base, scan_excludes_zero)
             held[theorem] += int(sides.holds.sum())
             lowest = float(sides.margins.min())
             if worst_margin[theorem] is None or lowest < worst_margin[theorem]:

@@ -22,7 +22,13 @@ from locclab.bounds import (
     survey_bounds,
 )
 from locclab.measures import entropy_of_entanglement, log_negativity, negativity, renyi_entropy
-from locclab.states import PreconditionError, PureState, RandomSource, draw_weight
+from locclab.states import (
+    PreconditionError,
+    PureState,
+    RandomSource,
+    draw_weight,
+    schmidt_of_state,
+)
 from locclab.superpose import SuperpositionSpec
 
 S2 = 1 / math.sqrt(2)
@@ -277,7 +283,7 @@ class TestEvaluatorOracle:
         spec = SuperpositionSpec(alpha, 0.8, state(psi), state(phi))
         inst = BoundInstance.build(spec, delta, base)
         beta, ab = inst.beta, alpha * inst.beta
-        g, p, q = inst.gamma.schmidt, inst.psi_schmidt, inst.phi_schmidt
+        g, p, q = inst.gamma.schmidt, schmidt_of_state(spec.psi), schmidt_of_state(spec.phi)
         n_combo = alpha**2 * negativity(p) + beta**2 * negativity(q)
         e_g, e_p, e_q = (entropy_of_entanglement(v) for v in (g, p, q))
         expected = {
@@ -462,14 +468,21 @@ SURVEY_IDS = [
 
 
 def kernel_and_scalar_margins(rng, n, config):
-    """Margins of one n-row chunk and of ``evaluate`` on each row alone, per theorem."""
+    """Margins of one n-row chunk and of ``evaluate`` on each row alone, per
+    theorem, and the largest gap between those reports and the formula oracle."""
     alpha, beta, amps = bounds._draw_chunk(rng, range(n), config["orthogonal_only"])
+    # Two rows the sampler never draws: components that share a zero
+    # amplitude, so T6 meets a zero joint amplitude.
+    shared_zero = [[[1.0, 0.0, 0.0]] * 4, [[0.8, 0.6, 0.0], [0.6, 0.8, 0.0]] * 2]
+    alpha, beta = np.append(alpha, [0.6, 0.6]), np.append(beta, [0.8, 0.8])
+    amps = np.concatenate([amps, shared_zero])
     args = (config["delta"], config["log_base"], config["scan_excludes_zero"])
     second = bounds._amplitude_rows(alpha, beta, amps[:, 2], amps[:, 3])
     chunk = bounds._amplitude_rows(alpha, beta, amps[:, 0], amps[:, 1], second)
-    kernel = {t: bounds._sides(t, chunk, *args).margins for t in THEOREM_ORDER}
+    kernel = {t: bounds._BOUNDS[t](chunk, *args).margins for t in THEOREM_ORDER}
     scalar = {t: [] for t in THEOREM_ORDER}
-    for j in range(n):
+    oracle_gap = 0.0
+    for j in range(len(alpha)):
         rows = amps[j].tolist()
         inst, inst2 = (
             amplitude_instance(
@@ -480,13 +493,15 @@ def kernel_and_scalar_margins(rng, n, config):
         for theorem in THEOREM_ORDER:
             report = evaluate(theorem, inst, inst2, config["scan_excludes_zero"])
             scalar[theorem].append(report.margins())
-    return kernel, {t: np.array(m) for t, m in scalar.items()}
+            oracle_gap = max(oracle_gap, compare_report(report, oracle_sides(report.snapshot)))
+    return kernel, {t: np.array(m) for t, m in scalar.items()}, oracle_gap
 
 
 class TestSurveyKernel:
     @pytest.mark.parametrize("config", SURVEY_CONFIGS, ids=SURVEY_IDS)
     def test_kernel_margins_match_scalar(self, config):
-        kernel, scalar = kernel_and_scalar_margins(RandomSource(77), 200, config)
+        kernel, scalar, oracle_gap = kernel_and_scalar_margins(RandomSource(77), 200, config)
+        assert oracle_gap <= 1e-12
         for theorem in THEOREM_ORDER:
             k, s = kernel[theorem], scalar[theorem]
             assert not np.isnan(s).any()

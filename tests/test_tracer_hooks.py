@@ -7,14 +7,6 @@ from pathlib import Path
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
-# Hooks on the per-theorem bound evaluators, which the one array kernel
-# (``bounds._sides`` behind ``evaluate``) replaced.  The tracer keeps naming
-# them until the benchmark's next change, so its ``bounds.evaluators`` layer
-# reads no calls; these, and only these, may be missing.
-RETIRED = {f"locclab.bounds.eval_t{i}" for i in range(1, 10)} | {
-    "locclab.bounds.eval_chain_inequality"
-}
-
 
 def _load_tracer() -> types.ModuleType:
     # Executed from its source text so that nothing is written under bench/.
@@ -26,10 +18,9 @@ def _load_tracer() -> types.ModuleType:
 
 def test_every_tracer_boundary_resolves():
     tracer = _load_tracer()
-    named = {f"{module_name}.{path}" for _, module_name, path in tracer.BOUNDARIES}
-    missing = {
-        f"{module_name}.{path}"
-        for _, module_name, path in tracer.BOUNDARIES
+    missing = [
+        f"{layer}: {module_name}.{path}"
+        for layer, module_name, path in tracer.BOUNDARIES
         if tracer._resolve(importlib.import_module(module_name), path) is None
-    }
-    assert sorted(missing) == sorted(RETIRED & named)
+    ]
+    assert missing == []
