@@ -23,7 +23,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .measures import renyi_underflow, require_log_base
+from .measures import (
+    entropy_rows,
+    log_negativity_rows,
+    negativity_rows,
+    renyi_rows,
+    require_log_base,
+    require_renyi_order,
+    row_sum,
+    xlog2x,
+)
 from .statefile import _require_number, state_document, state_from_document
 from .states import (
     VECTOR_FORM,
@@ -216,10 +225,7 @@ def _check_parameters(
             continue
         if delta is None:
             raise PreconditionError(f"{theorem} needs a Renyi order parameter")
-        if not (math.isfinite(delta) and delta >= 0.0):
-            raise PreconditionError(
-                f"Renyi order must be finite and non-negative, got {float(delta)!r}"
-            )
+        require_renyi_order(delta)
         if delta == 1.0:
             raise PreconditionError(f"{theorem} excludes Renyi order 1")
 
@@ -245,57 +251,21 @@ class _Rows:
     second: _Rows | None = None
 
 
-def _row_sum(x: np.ndarray) -> np.ndarray:
-    """Sum along axis 1, column by column from the left (the measures' order)."""
-    total = x[:, 0]
-    for k in range(1, x.shape[1]):
-        total = total + x[:, k]
-    return total
-
-
 def _schmidt_probs(amps: np.ndarray) -> np.ndarray:
     """Schmidt probabilities of shared-basis amplitude rows, bit for bit as
     ``make_schmidt_vector``: squares summed in basis order, then sorted."""
     sq = amps * amps
-    return np.sort(sq, axis=1)[:, ::-1] / _row_sum(sq)[:, None]
+    return np.sort(sq, axis=1)[:, ::-1] / row_sum(sq)[:, None]
 
 
 def _amplitude_rows(alpha, beta, psi, phi, second: _Rows | None = None) -> _Rows:
     """Rows of vector-form pairs, superposed in ``superpose``'s operation order."""
-    k = alpha * alpha + beta * beta + 2.0 * alpha * beta * _row_sum(psi * phi)
+    k = alpha * alpha + beta * beta + 2.0 * alpha * beta * row_sum(psi * phi)
     gamma = (alpha[:, None] * psi + beta[:, None] * phi) * (1.0 / np.sqrt(k))[:, None]
     return _Rows(
         alpha, beta, _schmidt_probs(gamma), _schmidt_probs(psi), _schmidt_probs(phi),
         psi, phi, second,
     )
-
-
-def _negativity(p: np.ndarray) -> np.ndarray:
-    root_sum = _row_sum(np.sqrt(p))
-    return (root_sum * root_sum - 1.0) / 2.0
-
-
-def _log_negativity(p: np.ndarray, base: float) -> np.ndarray:
-    root_sum = _row_sum(np.sqrt(p))
-    if base == 2.0:
-        return np.log2(root_sum * root_sum)
-    return np.log(root_sum * root_sum) / math.log(base)
-
-
-def _xlog2x(x: np.ndarray) -> np.ndarray:
-    """``x log2 x`` elementwise, 0 at ``x = 0``."""
-    return x * np.log2(np.where(x > 0.0, x, 1.0))
-
-
-def _entropy(p: np.ndarray) -> np.ndarray:
-    return 0.0 - _row_sum(_xlog2x(p))
-
-
-def _renyi(p: np.ndarray, delta: float) -> np.ndarray:
-    power_sum = _row_sum(np.where(p > 0.0, p**delta, 0.0))
-    if not power_sum.all():  # the log would be -inf
-        raise renyi_underflow(delta)
-    return np.log(power_sum) / (1.0 - delta)
 
 
 @dataclass(frozen=True)
@@ -348,9 +318,10 @@ def _coefficient_term(rows: _Rows, x: np.ndarray) -> np.ndarray:
 
 def eval_t1(rows: _Rows, delta: float, log_base: float, scan_excludes_zero: bool) -> _Sides:
     """Weighted component negativities bound the combined negativity both ways."""
-    combo = rows.alpha**2 * _negativity(rows.p_psi) + rows.beta**2 * _negativity(rows.p_phi)
+    n_psi, n_phi = negativity_rows(rows.p_psi), negativity_rows(rows.p_phi)
+    combo = rows.alpha**2 * n_psi + rows.beta**2 * n_phi
     return _Sides(
-        combo, _negativity(rows.p_gamma), combo + rows.alpha * rows.beta,
+        combo, negativity_rows(rows.p_gamma), combo + rows.alpha * rows.beta,
         notes=lambda j: (_NEGATIVITY_NOTE,),
     )
 
@@ -359,7 +330,7 @@ def eval_t2(rows: _Rows, delta: float, log_base: float, scan_excludes_zero: bool
     """Negativity bracketed at the extreme amplitudes."""
     lo, hi = _scan(rows, scan_excludes_zero)
     return _Sides(
-        _coefficient_term(rows, lo), _negativity(rows.p_gamma), _coefficient_term(rows, hi),
+        _coefficient_term(rows, lo), negativity_rows(rows.p_gamma), _coefficient_term(rows, hi),
         notes=lambda j: (_NEGATIVITY_NOTE,),
     )
 
@@ -367,12 +338,9 @@ def eval_t2(rows: _Rows, delta: float, log_base: float, scan_excludes_zero: bool
 def eval_t3(rows: _Rows, delta: float, log_base: float, scan_excludes_zero: bool) -> _Sides:
     """Mean component log-negativity plus 2 + log(alpha beta) as a floor."""
     ab = rows.alpha * rows.beta
-    lower = (
-        0.5 * (_log_negativity(rows.p_psi, log_base) + _log_negativity(rows.p_phi, log_base))
-        + 2.0
-        + np.log(ab) / math.log(log_base)
-    )
-    return _Sides(lower, _log_negativity(rows.p_gamma, log_base))
+    ln_psi, ln_phi = (log_negativity_rows(p, log_base) for p in (rows.p_psi, rows.p_phi))
+    lower = 0.5 * (ln_psi + ln_phi) + 2.0 + np.log(ab) / math.log(log_base)
+    return _Sides(lower, log_negativity_rows(rows.p_gamma, log_base))
 
 
 def eval_t4(rows: _Rows, delta: float, log_base: float, scan_excludes_zero: bool) -> _Sides:
@@ -387,7 +355,7 @@ def eval_t4(rows: _Rows, delta: float, log_base: float, scan_excludes_zero: bool
     vacuous = ("lower bound -inf (zero amplitude in scan): vacuously holds",)
     return _Sides(
         lower,
-        _log_negativity(rows.p_gamma, log_base),
+        log_negativity_rows(rows.p_gamma, log_base),
         2.0 * np.log(spread * hi) / math.log(log_base),
         notes=lambda j: () if lo[j] > 0.0 else vacuous,
     )
@@ -397,12 +365,9 @@ def eval_t5(rows: _Rows, delta: float, log_base: float, scan_excludes_zero: bool
     """Component Renyi entropies plus ln(3 (alpha beta)^(2 delta))/(1-delta), the
     log expanded for numerical stability at small alpha beta."""
     ab = rows.alpha * rows.beta
-    lower = (
-        (math.log(3.0) + 2.0 * delta * np.log(ab)) / (1.0 - delta)
-        + _renyi(rows.p_psi, delta)
-        + _renyi(rows.p_phi, delta)
-    )
-    return _Sides(lower, _renyi(rows.p_gamma, delta))
+    r_psi, r_phi = renyi_rows(rows.p_psi, delta), renyi_rows(rows.p_phi, delta)
+    lower = (math.log(3.0) + 2.0 * delta * np.log(ab)) / (1.0 - delta) + r_psi + r_phi
+    return _Sides(lower, renyi_rows(rows.p_gamma, delta))
 
 
 def eval_t6(rows: _Rows, delta: float, log_base: float, scan_excludes_zero: bool) -> _Sides:
@@ -428,16 +393,14 @@ def eval_t6(rows: _Rows, delta: float, log_base: float, scan_excludes_zero: bool
             found.append("bound sides cross: prefactor 2*delta/(1-delta) is negative")
         return tuple(found)
 
-    return _Sides(lower, _renyi(rows.p_gamma, delta), upper, notes=notes)
+    return _Sides(lower, renyi_rows(rows.p_gamma, delta), upper, notes=notes)
 
 
 def eval_t7(rows: _Rows, delta: float, log_base: float, scan_excludes_zero: bool) -> _Sides:
     """Entropy bounded by the squared weighted root-entropies-plus-one."""
-    upper = (
-        rows.alpha * np.sqrt(_entropy(rows.p_psi) + 1.0)
-        + rows.beta * np.sqrt(_entropy(rows.p_phi) + 1.0)
-    ) ** 2
-    return _Sides(value=_entropy(rows.p_gamma), upper=upper)
+    e_psi, e_phi = entropy_rows(rows.p_psi), entropy_rows(rows.p_phi)
+    upper = (rows.alpha * np.sqrt(e_psi + 1.0) + rows.beta * np.sqrt(e_phi + 1.0)) ** 2
+    return _Sides(value=entropy_rows(rows.p_gamma), upper=upper)
 
 
 def eval_t8(rows: _Rows, delta: float, log_base: float, scan_excludes_zero: bool) -> _Sides:
@@ -445,12 +408,12 @@ def eval_t8(rows: _Rows, delta: float, log_base: float, scan_excludes_zero: bool
     linear exactly as written; the squared-weight reading (a binary entropy)
     goes into the notes for comparison."""
     alpha, beta = rows.alpha, rows.beta
-    e_psi, e_phi = _entropy(rows.p_psi), _entropy(rows.p_phi)
-    upper = alpha * e_psi + beta * e_phi - _xlog2x(alpha) - _xlog2x(beta)
+    e_psi, e_phi = entropy_rows(rows.p_psi), entropy_rows(rows.p_phi)
+    upper = alpha * e_psi + beta * e_phi - xlog2x(alpha) - xlog2x(beta)
     a2, b2 = alpha * alpha, beta * beta
-    alt = a2 * e_psi + b2 * e_phi - _xlog2x(a2) - _xlog2x(b2)
+    alt = a2 * e_psi + b2 * e_phi - xlog2x(a2) - xlog2x(b2)
     return _Sides(
-        value=_entropy(rows.p_gamma),
+        value=entropy_rows(rows.p_gamma),
         upper=upper,
         notes=lambda j: (f"alternative squared-weight reading gives upper {float(alt[j])!r}",),
     )
@@ -463,7 +426,7 @@ def eval_t9(rows: _Rows, delta: float, log_base: float, scan_excludes_zero: bool
     weight_sum = rows.alpha + rows.beta
     alt = 2.0 * math.log2(3.0) * weight_sum * hi
     return _Sides(
-        value=_entropy(rows.p_gamma),
+        value=entropy_rows(rows.p_gamma),
         upper=2.0 * np.log2(3.0 * weight_sum) * hi,
         notes=lambda j: (
             f"alternative parse (log2 3)*(alpha+beta) gives upper {float(alt[j])!r}",
@@ -482,7 +445,7 @@ def eval_chain_inequality(
     second = rows.second
     a, b = rows.psi * rows.psi, rows.phi * rows.phi
     ap, bp = second.psi * second.psi, second.phi * second.phi
-    n_a, n_b = _negativity(rows.p_gamma), _negativity(second.p_gamma)
+    n_a, n_b = negativity_rows(rows.p_gamma), negativity_rows(second.p_gamma)
     terms = (
         _coefficient_term(rows, np.minimum(ap[:, 2], bp[:, 2])),
         _coefficient_term(rows, np.minimum(a[:, 2], b[:, 2])),

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from conftest import sorted_simplex
-from formula_oracle import compare_report, oracle_sides
+from formula_oracle import (
+    _entropy_bits,
+    _log_negativity,
+    _negativity,
+    _renyi,
+    compare_report,
+    oracle_sides,
+)
 from locclab import bounds
 from locclab.bounds import (
     MAX_SURVEY_CERTIFICATES,
@@ -21,7 +28,6 @@ from locclab.bounds import (
     second_instance_from_snapshot,
     survey_bounds,
 )
-from locclab.measures import entropy_of_entanglement, log_negativity, negativity, renyi_entropy
 from locclab.states import (
     PreconditionError,
     PureState,
@@ -283,23 +289,28 @@ class TestEvaluatorOracle:
         spec = SuperpositionSpec(alpha, 0.8, state(psi), state(phi))
         inst = BoundInstance.build(spec, delta, base)
         beta, ab = inst.beta, alpha * inst.beta
-        g, p, q = inst.gamma.schmidt, schmidt_of_state(spec.psi), schmidt_of_state(spec.phi)
-        n_combo = alpha**2 * negativity(p) + beta**2 * negativity(q)
-        e_g, e_p, e_q = (entropy_of_entanglement(v) for v in (g, p, q))
+        # The expected sides come from the oracle's own measure formulas, not
+        # from measures.py, whose array code the bounds share.
+        g, p, q = (
+            v.probs
+            for v in (inst.gamma.schmidt, schmidt_of_state(spec.psi), schmidt_of_state(spec.phi))
+        )
+        n_combo = alpha**2 * _negativity(p) + beta**2 * _negativity(q)
+        e_g, e_p, e_q = (_entropy_bits(v) for v in (g, p, q))
         expected = {
-            "T1": (n_combo, negativity(g), n_combo + ab),
+            "T1": (n_combo, _negativity(g), n_combo + ab),
             "T3": (
-                0.5 * (log_negativity(p, base) + log_negativity(q, base))
+                0.5 * (_log_negativity(p, base) + _log_negativity(q, base))
                 + 2.0
                 + math.log(ab, base),
-                log_negativity(g, base),
+                _log_negativity(g, base),
                 None,
             ),
             "T5": (
                 math.log(3.0 * ab ** (2.0 * delta)) / (1.0 - delta)
-                + renyi_entropy(p, delta)
-                + renyi_entropy(q, delta),
-                renyi_entropy(g, delta),
+                + _renyi(p, delta)
+                + _renyi(q, delta),
+                _renyi(g, delta),
                 None,
             ),
             "T7": (

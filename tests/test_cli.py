@@ -318,6 +318,32 @@ class TestCli:
         assert "theorem = T1" in out
         assert "theorem = T2" not in out  # needs 3x3 components
 
+    @pytest.mark.parametrize("source", ["instance", "random"])
+    def test_bad_renyi_order_exits_2_under_all_theorems(self, tmp_path, capsys, source):
+        doc = {
+            "alpha": 0.6,
+            "beta": 0.8,
+            "psi": {"form": "vector", "amplitudes": [0.8, 0.6, 0.0]},
+            "phi": {"form": "vector", "amplitudes": [0.0, 0.6, 0.8]},
+        }
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        if source == "instance":
+            argv = ["bounds", "--instance", str(path)]
+        else:
+            argv = ["bounds", "--random", "3", "--seed", "1"]
+        assert cli.run(argv + ["--delta", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "finite and non-negative" in captured.err
+        assert captured.out == ""
+        if source == "instance":
+            # No order and order 1 are preconditions: T5 and T6 are skipped.
+            for delta in ([], ["--delta", "1"]):
+                assert cli.run(argv + delta) == 0
+                out = capsys.readouterr().out
+                assert "theorem = T4" in out and "theorem = T7" in out
+                assert "theorem = T5" not in out and "theorem = T6" not in out
+
     def test_bounds_instance_all_equals_omitted_selection(self, tmp_path, capsys):
         certs = tmp_path / "certs"
         argv = ["bounds", "--random", "300", "--seed", "3", "--theorems", "t1"]

@@ -1,19 +1,25 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import as_sv, mixed_from, sorted_simplex
+from formula_oracle import _entropy_bits, _log_negativity, _negativity, _renyi
 from locclab.majorization import ComparabilityVerdict, classify_pair
 from locclab.measures import (
     MEASURE_KINDS,
     compute_measure,
     concurrence_squared,
     entropy_of_entanglement,
+    entropy_rows,
     log_negativity,
+    log_negativity_rows,
     negativity,
+    negativity_rows,
     renyi_entropy,
+    renyi_rows,
 )
 from locclab.states import make_schmidt_vector
 
@@ -144,7 +150,7 @@ def test_measures_invariant_under_input_permutation(raw, seed):
     assert renyi_entropy(a, 2.0) == pytest.approx(renyi_entropy(b, 2.0), abs=1e-12)
 
 
-@given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=6).filter(lambda xs: sum(xs) > 1e-9))
+@given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=16).filter(lambda xs: sum(xs) > 1e-9))
 @settings(max_examples=300)
 def test_all_measures_non_negative(raw):
     v = make_schmidt_vector(raw)
@@ -154,6 +160,40 @@ def test_all_measures_non_negative(raw):
     assert log_negativity(v) >= 0.0
     for delta in (0.0, 0.5, 2.0, 5.0):
         assert renyi_entropy(v, delta) >= 0.0
+    # ... and each equals the oracle's straight-from-the-formula value.
+    mu = v.probs
+    assert abs(entropy_of_entanglement(v) - _entropy_bits(mu)) <= 1e-12
+    assert abs(negativity(v) - _negativity(mu)) <= 1e-12
+    for base in (2.0, 10.0):
+        assert abs(log_negativity(v, base) - _log_negativity(mu, base)) <= 1e-12
+    for delta in (0.0, 0.5, 2.0, 5.0):
+        assert abs(renyi_entropy(v, delta) - _renyi(mu, delta)) <= 1e-12
+
+
+def test_row_gives_same_bits_alone_and_in_a_batch():
+    # Each array measure's row j equals the scalar call on that row exactly
+    # (the scalar wrappers only turn a -0.0 into 0.0, which == ignores).
+    gen = np.random.default_rng(20261018)
+    for d in range(1, 17):
+        raw = gen.dirichlet(np.ones(d), size=40)
+        raw[:, gen.integers(0, d, size=d // 3)] = 0.0  # zero columns
+        raw[0] = 0.0
+        raw[0, 0] = 1.0  # a point mass
+        vectors = [make_schmidt_vector(row) for row in raw]
+        batch = np.array([v.probs for v in vectors])
+        cases = [
+            (entropy_rows(batch), entropy_of_entanglement, ()),
+            (negativity_rows(batch), negativity, ()),
+        ]
+        cases += [(log_negativity_rows(batch, b), log_negativity, (b,)) for b in (2.0, 10.0)]
+        cases += [
+            (renyi_rows(batch, delta), renyi_entropy, (delta,))
+            for delta in (0.0, 0.5, 1.0, 2.0, 5.0)
+        ]
+        for column, scalar, args in cases:
+            assert column.shape == (len(vectors),)
+            for j, v in enumerate(vectors):
+                assert scalar(v, *args) == float(column[j]), (d, j, scalar.__name__, args)
 
 
 def test_schur_monotone_along_conversions(np_gen):
