@@ -30,7 +30,6 @@ from .measures import (
     renyi_rows,
     require_log_base,
     require_renyi_order,
-    row_sum,
     xlog2x,
 )
 from .statefile import _require_number, state_document, state_from_document
@@ -44,7 +43,7 @@ from .states import (
     schmidt_of_state,
     simplex_masses,
 )
-from .superpose import SuperpositionResult, SuperpositionSpec, superpose
+from .superpose import SuperpositionResult, SuperpositionSpec, schmidt_rows, superpose, superpose_rows
 
 # A bound "holds" when every evaluated margin clears this floor.
 MARGIN_TOL = 1e-9
@@ -251,20 +250,11 @@ class _Rows:
     second: _Rows | None = None
 
 
-def _schmidt_probs(amps: np.ndarray) -> np.ndarray:
-    """Schmidt probabilities of shared-basis amplitude rows, bit for bit as
-    ``make_schmidt_vector``: squares summed in basis order, then sorted."""
-    sq = amps * amps
-    return np.sort(sq, axis=1)[:, ::-1] / row_sum(sq)[:, None]
-
-
 def _amplitude_rows(alpha, beta, psi, phi, second: _Rows | None = None) -> _Rows:
-    """Rows of vector-form pairs, superposed in ``superpose``'s operation order."""
-    k = alpha * alpha + beta * beta + 2.0 * alpha * beta * row_sum(psi * phi)
-    gamma = (alpha[:, None] * psi + beta[:, None] * phi) * (1.0 / np.sqrt(k))[:, None]
+    """Rows of vector-form pairs with their superpositions."""
+    gamma, _ = superpose_rows(alpha, beta, psi, phi)
     return _Rows(
-        alpha, beta, _schmidt_probs(gamma), _schmidt_probs(psi), _schmidt_probs(phi),
-        psi, phi, second,
+        alpha, beta, schmidt_rows(gamma), schmidt_rows(psi), schmidt_rows(phi), psi, phi, second
     )
 
 

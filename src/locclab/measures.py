@@ -5,9 +5,9 @@ vector, so none of them can increase along a deterministic LOCC conversion.
 Entropy of entanglement is reported in bits, Renyi entropy in nats, the rest
 are dimensionless; logarithmic negativity takes its base as a parameter.
 
-Entropy, negativity, log-negativity and Renyi entropy have one implementation,
-the array forms over an ``(m, d)`` batch of probability rows that the bounds
-also run; the scalar functions run them on a one-row batch.
+Every measure has one implementation, the array form over an ``(m, d)`` batch
+of probability rows that the bounds and the tables sweep also run; the scalar
+functions run it on a one-row batch.
 """
 
 from __future__ import annotations
@@ -57,6 +57,11 @@ def entropy_rows(p: np.ndarray) -> np.ndarray:
     return 0.0 - row_sum(xlog2x(p))
 
 
+def concurrence_rows(p: np.ndarray) -> np.ndarray:
+    """2(1 - sum of squared probabilities); 0 at a point mass, 2(d-1)/d at uniform."""
+    return 2.0 * (1.0 - row_sum(p * p))
+
+
 def negativity_rows(p: np.ndarray) -> np.ndarray:
     """((sum of root probabilities)^2 - 1) / 2, the partial-transpose convention."""
     root_sum = row_sum(np.sqrt(p))
@@ -93,7 +98,7 @@ def entropy_of_entanglement(v: SchmidtVector) -> float:
 
 def concurrence_squared(v: SchmidtVector) -> float:
     """2(1 - sum of squared probabilities); 0 at a point mass, 2(d-1)/d at uniform."""
-    return 2.0 * (1.0 - sum(p * p for p in v.probs))
+    return float(concurrence_rows(np.array([v.probs]))[0])
 
 
 def negativity(v: SchmidtVector) -> float:

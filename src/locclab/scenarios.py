@@ -17,24 +17,32 @@ from __future__ import annotations
 import math
 import re
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 
-from .majorization import ComparabilityVerdict, _classify_probs, classify_pair
-from .measures import concurrence_squared
+import numpy as np
+
+from .majorization import ComparabilityVerdict, _classify_probs
+from .measures import concurrence_rows
 from .states import (
     MAX_DRAW_ATTEMPTS,
+    InvalidStateError,
     PreconditionError,
-    PureState,
     RandomSource,
+    SchmidtVector,
     draw_sorted_simplex,
     draw_weight,
 )
-from .superpose import SuperpositionSpec, superpose
+from .superpose import require_weights, schmidt_rows, superpose_rows
 
 CASES = ("I", "II", "III", "IV", "V")
 TABLES = ("1", "1A", "2", "2A", "3", "3A", "IV", "V")
 _SHARED_PHI_CASES = ("III", "IV")
+# Per case, whether the (psi, psi') and (phi, phi') component pairs must be
+# comparable; None leaves the phi pair free.
+_CASE_PAIRS = dict(
+    zip(CASES, [(False, False), (True, False), (False, None), (True, None), (True, True)])
+)
 
 WEIGHT_EQUAL = "equal"
 WEIGHT_ALPHA_GT = "alpha>alphap"
@@ -56,6 +64,8 @@ _COEF_NAMES = tuple(
 )
 # Operand index of each condition name in ScenarioInstance.values.
 _NAMES = _WEIGHT_NAMES + _COEF_NAMES
+# Samples drawn and evaluated together by the tables sweep.
+TABLES_CHUNK = 128
 
 _HALF_RE = re.compile(
     r"^\(\s*(\w+)\s*\*\s*sqrt\(\s*(\w+)\s*\)\s*\+\s*(\w+)\s*\*\s*sqrt\(\s*(\w+)\s*\)\s*\)\s*"
@@ -140,55 +150,26 @@ class ScenarioInstance:
         return weights + self.psi + self.phi + self.psip + self.phip
 
     def to_doc(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "alphap": self.alphap,
-            "betap": self.betap,
-            "psi": list(self.psi),
-            "phi": list(self.phi),
-            "psip": list(self.psip),
-            "phip": list(self.phip),
-            "shared_phi": self.shared_phi,
-        }
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ScenarioInstance":
-        return cls(
-            float(doc["alpha"]),
-            float(doc["beta"]),
-            float(doc["alphap"]),
-            float(doc["betap"]),
-            tuple(float(x) for x in doc["psi"]),
-            tuple(float(x) for x in doc["phi"]),
-            tuple(float(x) for x in doc["psip"]),
-            tuple(float(x) for x in doc["phip"]),
-            bool(doc["shared_phi"]),
-        )
-
-
-@dataclass(frozen=True)
-class ObservedOutcome:
-    """What actually happened for one satisfying instance."""
-
-    verdict: ComparabilityVerdict
-    c2_gamma: float
-    c2_gamma_prime: float
-    order: str
-    overlap_gamma: float
-    overlap_gamma_prime: float
-
-
-def _observed_doc(outcome: ObservedOutcome) -> dict:
-    """The observed fields a certificate records and a replay re-derives."""
-    return {
-        "observed_verdict": outcome.verdict.value,
-        "order": outcome.order,
-        "c2_gamma": outcome.c2_gamma,
-        "c2_gamma_prime": outcome.c2_gamma_prime,
-        "overlap_gamma": outcome.overlap_gamma,
-        "overlap_gamma_prime": outcome.overlap_gamma_prime,
-    }
+        """Read a serialized instance, rejecting one the observation cannot
+        superpose: weights off the unit circle, a triple that is not a sorted
+        probability vector, or a shared phi whose two copies differ."""
+        weights = [float(doc[name]) for name in _WEIGHT_NAMES]
+        require_weights(*weights[:2])
+        require_weights(*weights[2:])
+        names = ("psi", "phi", "psip", "phip")
+        triples = [tuple(float(x) for x in doc[name]) for name in names]
+        for name, triple in zip(names, triples):
+            try:
+                SchmidtVector(triple)
+            except InvalidStateError as exc:
+                raise InvalidStateError(f"{name}: {exc}") from None
+        if doc["shared_phi"] and triples[1] != triples[3]:
+            raise ValueError("a shared-phi instance needs phip equal to phi")
+        return cls(*weights, *triples, bool(doc["shared_phi"]))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +286,7 @@ def rows_for_case(rows, case: str) -> list[ScenarioRow]:
 # Condition evaluation
 
 
-def _compare(lhs: float, op: str, rhs: float) -> bool:
+def _compare(lhs: np.ndarray, op: str, rhs: np.ndarray):
     if op == ">":
         return lhs - rhs > CONDITION_GAP
     if op == "<":
@@ -313,57 +294,59 @@ def _compare(lhs: float, op: str, rhs: float) -> bool:
     return True  # "<>": recorded but never binding
 
 
-def _product(values: tuple[float, ...], factors) -> float:
+def _product(values: np.ndarray, factors) -> np.ndarray:
     # Left to right in the written factor order, a squared weight as w * w:
     # the products stay bit-identical to the formula text.
     result = 1.0
     for index, squared in factors:
-        v = values[index]
-        result *= v * v if squared else v
+        v = values[:, index]
+        result = result * (v * v if squared else v)
     return result
 
 
-def _condition_holds(cond, values: tuple[float, ...]) -> bool:
+def _condition_holds(cond, values: np.ndarray):
     if isinstance(cond, ProductCompare):
         return _compare(_product(values, cond.lhs), cond.op, _product(values, cond.rhs))
-    amp = values[cond.u] * math.sqrt(values[cond.x]) + values[cond.v] * math.sqrt(values[cond.y])
+    x, y = np.sqrt(values[:, cond.x]), np.sqrt(values[:, cond.y])
+    amp = values[:, cond.u] * x + values[:, cond.v] * y
     return _compare(amp * amp, cond.op, 0.5)
 
 
-def _relation_holds(relation: str, da: float, db: float) -> bool:
-    """The relation on ``da = alpha - alphap`` and ``db = beta - betap``."""
+def _relation_holds(relation: str, da, db):
+    """The relation on ``da = alpha - alphap`` and ``db = beta - betap`` (floats or arrays)."""
     if relation == WEIGHT_EQUAL:
-        return abs(da) <= CONDITION_GAP and abs(db) <= CONDITION_GAP
+        return (abs(da) <= CONDITION_GAP) & (abs(db) <= CONDITION_GAP)
     if relation == WEIGHT_ALPHA_GT:
-        return da > CONDITION_GAP and -db > CONDITION_GAP
-    return -da > CONDITION_GAP and db > CONDITION_GAP
+        return (da > CONDITION_GAP) & (-db > CONDITION_GAP)
+    return (-da > CONDITION_GAP) & (db > CONDITION_GAP)
 
 
-def _case_preconditions_hold(case: str, inst: ScenarioInstance) -> bool:
-    psi_pair = _classify_probs(inst.psi, inst.psip)
-    if case == "III":
-        return psi_pair is ComparabilityVerdict.INCOMPARABLE
-    if case == "IV":
-        return psi_pair.comparable
-    phi_pair = _classify_probs(inst.phi, inst.phip)
-    if case == "I":
-        return (
-            psi_pair is ComparabilityVerdict.INCOMPARABLE
-            and phi_pair is ComparabilityVerdict.INCOMPARABLE
+def _in_regime(row: ScenarioRow, values: np.ndarray) -> np.ndarray:
+    """Which samples of an ``(m, 16)`` batch in ``ScenarioInstance.values`` order
+    meet the row's weight relation, one of its condition groups and the case's
+    component-pair comparability (always the full partial-sum classification,
+    never the sufficient-only shortcut)."""
+    conditions = np.zeros(len(values), dtype=bool)
+    for group in row.alternatives:
+        holds = np.ones(len(values), dtype=bool)
+        for cond in group:
+            holds &= _condition_holds(cond, values)
+        conditions |= holds
+    mask = conditions & _relation_holds(
+        row.weight_relation, values[:, 0] - values[:, 2], values[:, 1] - values[:, 3]
+    )
+    psi_needed, phi_needed = _CASE_PAIRS[row.case]
+    for j in np.flatnonzero(mask).tolist():
+        v = values[j].tolist()
+        mask[j] = _classify_probs(v[4:7], v[10:13]).comparable == psi_needed and (
+            phi_needed is None or _classify_probs(v[7:10], v[13:16]).comparable == phi_needed
         )
-    if case == "II":
-        return psi_pair.comparable and phi_pair is ComparabilityVerdict.INCOMPARABLE
-    return psi_pair.comparable and phi_pair.comparable  # case V
+    return mask
 
 
 def check_row_conditions(row: ScenarioRow, inst: ScenarioInstance) -> bool:
-    """True iff the instance sits in the row's regime.
-
-    Checks, in order: structural consistency (raises on mismatch), the weight
-    relation, the case's component-pair comparability preconditions (always
-    via the full partial-sum classification, never the sufficient-only
-    shortcut), then the row's condition groups.
-    """
+    """True iff the instance sits in the row's regime, by the sweep's batch
+    check on the instance alone; raises on a structural mismatch."""
     if inst.shared_phi != row.shared_phi:
         raise ValueError(
             f"instance {'shares' if inst.shared_phi else 'does not share'} phi "
@@ -372,14 +355,7 @@ def check_row_conditions(row: ScenarioRow, inst: ScenarioInstance) -> bool:
     for triple in (inst.psi, inst.phi, inst.psip, inst.phip):
         if len(triple) != 3:
             raise ValueError(f"row {row.key} needs 3-coefficient components")
-    if not _relation_holds(row.weight_relation, inst.alpha - inst.alphap, inst.beta - inst.betap):
-        return False
-    if not _case_preconditions_hold(row.case, inst):
-        return False
-    values = inst.values
-    return any(
-        all(_condition_holds(c, values) for c in group) for group in row.alternatives
-    )
+    return bool(_in_regime(row, np.array([inst.values]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -408,37 +384,33 @@ def _sample_instance(row: ScenarioRow, gen) -> ScenarioInstance:
     return ScenarioInstance(alpha, beta, alphap, betap, psi, phi, psip, phip, row.shared_phi)
 
 
-def _vector_state(probs: tuple[float, ...]) -> PureState:
-    return PureState.vector([math.sqrt(p) for p in probs])
+def _observe(values: np.ndarray) -> list[dict]:
+    """Superpose both sides of each sample of an ``(m, 16)`` batch, classify the
+    pair and compare squared concurrences: per sample, the observed fields a
+    certificate records and a replay re-derives."""
+    amps = np.sqrt(values[:, 4:])
+    gamma, overlap = superpose_rows(values[:, 0], values[:, 1], amps[:, 0:3], amps[:, 3:6])
+    gamma_p, overlap_p = superpose_rows(values[:, 2], values[:, 3], amps[:, 6:9], amps[:, 9:12])
+    p, p_prime = schmidt_rows(gamma), schmidt_rows(gamma_p)
+    c2, c2p = concurrence_rows(p), concurrence_rows(p_prime)
+    columns = {
+        "observed_verdict": [
+            _classify_probs(x, y).value for x, y in zip(p.tolist(), p_prime.tolist())
+        ],
+        "order": np.select(
+            [c2 - c2p > CONDITION_GAP, c2p - c2 > CONDITION_GAP], [GAMMA_GT, GAMMA_LT], TIE
+        ).tolist(),
+        "c2_gamma": c2.tolist(),
+        "c2_gamma_prime": c2p.tolist(),
+        "overlap_gamma": overlap.tolist(),
+        "overlap_gamma_prime": overlap_p.tolist(),
+    }
+    return [dict(zip(columns, fields)) for fields in zip(*columns.values())]
 
 
-def observe_instance(inst: ScenarioInstance) -> ObservedOutcome:
-    """Superpose both sides, classify the pair, compare squared concurrences."""
-    phi_state = _vector_state(inst.phi)
-    phip_state = phi_state if inst.shared_phi else _vector_state(inst.phip)
-    gamma = superpose(
-        SuperpositionSpec(inst.alpha, inst.beta, _vector_state(inst.psi), phi_state)
-    )
-    gamma_p = superpose(
-        SuperpositionSpec(inst.alphap, inst.betap, _vector_state(inst.psip), phip_state)
-    )
-    verdict = classify_pair(gamma.schmidt, gamma_p.schmidt)
-    c2 = concurrence_squared(gamma.schmidt)
-    c2p = concurrence_squared(gamma_p.schmidt)
-    if c2 - c2p > CONDITION_GAP:
-        order = GAMMA_GT
-    elif c2p - c2 > CONDITION_GAP:
-        order = GAMMA_LT
-    else:
-        order = TIE
-    return ObservedOutcome(
-        verdict=verdict,
-        c2_gamma=c2,
-        c2_gamma_prime=c2p,
-        order=order,
-        overlap_gamma=gamma.overlap,
-        overlap_gamma_prime=gamma_p.overlap,
-    )
+def observe_instance(inst: ScenarioInstance) -> dict:
+    """The observed fields of one instance, by the sweep's batch code."""
+    return _observe(np.array([inst.values]))[0]
 
 
 def _row_source(rng: RandomSource, row: ScenarioRow) -> RandomSource:
@@ -496,10 +468,18 @@ class TableReport:
         return "\n".join(lines) + "\n"
 
 
-def _verdict_matches(predicted: str, verdict: ComparabilityVerdict) -> bool:
-    if predicted == INCOMPARABLE:
-        return verdict is ComparabilityVerdict.INCOMPARABLE
-    return verdict.comparable
+def _satisfied_samples(row: ScenarioRow, source: RandomSource, n: int):
+    """Index, instance and observed fields of each of the row's ``n`` samples
+    that sits in its regime, in index order; drawn, checked and observed in
+    chunks of ``TABLES_CHUNK``."""
+    for start in range(0, n, TABLES_CHUNK):
+        batch = [
+            _sample_instance(row, source.derive(i).generator())
+            for i in range(start, min(n, start + TABLES_CHUNK))
+        ]
+        values = np.array([inst.values for inst in batch])
+        hits = np.flatnonzero(_in_regime(row, values)).tolist()
+        yield from zip([start + j for j in hits], [batch[j] for j in hits], _observe(values[hits]))
 
 
 def validate_tables(
@@ -524,24 +504,20 @@ def validate_tables(
         raise ValueError(f"max_certificates must be non-negative, got {max_certificates!r}")
     tallies = []
     for row in rows:
-        source = _row_source(rng, row)
         satisfied = 0
         verdict_agree = verdict_disagree = 0
         order_checked = order_agree = order_disagree = order_tie = 0
         overlap_sum = overlap_prime_sum = 0.0
         certs: list[dict] = []
-        for i in range(samples_per_row):
-            inst = _sample_instance(row, source.derive(i).generator())
-            if not check_row_conditions(row, inst):
-                continue
+        for i, inst, observed in _satisfied_samples(row, _row_source(rng, row), samples_per_row):
             satisfied += 1
-            outcome = observe_instance(inst)
-            overlap_sum += abs(outcome.overlap_gamma)
-            overlap_prime_sum += abs(outcome.overlap_gamma_prime)
+            overlap_sum += abs(observed["overlap_gamma"])
+            overlap_prime_sum += abs(observed["overlap_gamma_prime"])
             kind = None
             in_regime = True
             if row.predicted_pair is not None:
-                if _verdict_matches(row.predicted_pair, outcome.verdict):
+                comparable = ComparabilityVerdict(observed["observed_verdict"]).comparable
+                if comparable == (row.predicted_pair == COMPARABLE):
                     verdict_agree += 1
                 else:
                     verdict_disagree += 1
@@ -550,9 +526,9 @@ def validate_tables(
                         kind = "verdict"
             if row.predicted_order is not None and in_regime:
                 order_checked += 1
-                if outcome.order == row.predicted_order:
+                if observed["order"] == row.predicted_order:
                     order_agree += 1
-                elif outcome.order == TIE:
+                elif observed["order"] == TIE:
                     order_tie += 1
                 else:
                     order_disagree += 1
@@ -569,7 +545,7 @@ def validate_tables(
                         "instance": inst.to_doc(),
                         "predicted_pair": row.predicted_pair,
                         "predicted_order": row.predicted_order,
-                        **_observed_doc(outcome),
+                        **observed,
                     }
                 )
         tallies.append(
@@ -607,5 +583,5 @@ def replay_table_certificate(cert: dict, rows=None) -> dict:
     inst = ScenarioInstance.from_doc(cert["instance"])
     return {
         "row_conditions_pass": check_row_conditions(row, inst),
-        **_observed_doc(observe_instance(inst)),
+        **observe_instance(inst),
     }

@@ -13,7 +13,7 @@ import json
 import math
 import warnings
 
-from .states import MATRIX_FORM, SUM_TOL, VECTOR_FORM, PureState
+from .states import MATRIX_FORM, SUM_TOL, VECTOR_FORM, PureState, left_sum
 
 STATE_FILE_VERSION = 1
 # Norm deviations up to this are silently repaired (with a warning); anything
@@ -46,7 +46,7 @@ def state_from_document(doc: dict, *, renormalize: bool = False) -> PureState:
         raise StateFileError("amplitudes must be a non-empty array")
     if form == VECTOR_FORM:
         values = [_require_number(x, "amplitudes") for x in amplitudes]
-        sumsq = sum(v * v for v in values)
+        sumsq = left_sum(v * v for v in values)
     else:
         if not all(isinstance(row, list) and row for row in amplitudes):
             raise StateFileError("matrix amplitudes must be non-empty rows")
@@ -54,7 +54,7 @@ def state_from_document(doc: dict, *, renormalize: bool = False) -> PureState:
         if any(len(row) != width for row in amplitudes):
             raise StateFileError("matrix rows must have equal length")
         values = [[_require_number(x, "amplitudes") for x in row] for row in amplitudes]
-        sumsq = sum(v * v for row in values for v in row)
+        sumsq = left_sum(v * v for row in values for v in row)
     deviation = abs(sumsq - 1.0)
     if deviation > SUM_TOL:
         if deviation > RENORM_SLACK and not renormalize:

@@ -43,6 +43,14 @@ class NumericalError(RuntimeError):
     """Raised when an internal numerical routine fails to converge."""
 
 
+def left_sum(values) -> float:
+    """Sum from the left on every Python; ``sum()`` compensates from 3.12 on."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 @dataclass(frozen=True)
 class SchmidtVector:
     """Sorted, normalized vector of squared Schmidt coefficients.
@@ -180,9 +188,8 @@ class PureState:
 
     @property
     def norm(self) -> float:
-        if self.is_vector:
-            return math.sqrt(sum(a * a for a in self.amplitudes))
-        return math.sqrt(sum(x * x for row in self.amplitudes for x in row))
+        flat = self.amplitudes if self.is_vector else (x for row in self.amplitudes for x in row)
+        return math.sqrt(left_sum(x * x for x in flat))
 
     def diagonal_matrix(self) -> "PureState":
         """Embed a vector-form state as the equivalent diagonal coefficient matrix."""
@@ -233,7 +240,7 @@ def simplex_masses(gen: np.random.Generator, d: int) -> list[float]:
     """
     for _ in range(MAX_DRAW_ATTEMPTS):
         draws = gen.standard_exponential(d).tolist()
-        total = sum(draws)
+        total = left_sum(draws)
         if total > 0.0:
             return [x / total for x in draws]
     raise PreconditionError(f"no positive {d}-simplex draw in {MAX_DRAW_ATTEMPTS} attempts")

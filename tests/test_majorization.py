@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import as_sv, mixed_from, sorted_simplex
 from locclab.majorization import (
@@ -8,7 +10,7 @@ from locclab.majorization import (
     incomparable_3x3_shortcut,
     majorizes,
 )
-from locclab.states import PreconditionError
+from locclab.states import PreconditionError, make_schmidt_vector
 
 A_TO_B = ComparabilityVerdict.CONVERTIBLE_A_TO_B
 B_TO_A = ComparabilityVerdict.CONVERTIBLE_B_TO_A
@@ -75,6 +77,17 @@ class TestClassifyPair:
             x = as_sv(sorted_simplex(np_gen, d))
             y = as_sv(sorted_simplex(np_gen, d))
             assert classify_pair(y, x) is _SWAP[classify_pair(x, y)]
+
+    @given(
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16),
+    )
+    @settings(max_examples=300)
+    def test_swap_antisymmetry_property(self, raw_x, raw_y):
+        # Any dimensions (the shorter vector is zero-padded), ties and zeros.
+        assume(sum(raw_x) > 0.0 and sum(raw_y) > 0.0)
+        x, y = make_schmidt_vector(raw_x), make_schmidt_vector(raw_y)
+        assert classify_pair(y, x) is _SWAP[classify_pair(x, y)]
 
     def test_equivalent_iff_both_directions(self, np_gen):
         for _ in range(500):

@@ -11,6 +11,7 @@ from locclab.majorization import ComparabilityVerdict, classify_pair
 from locclab.measures import (
     MEASURE_KINDS,
     compute_measure,
+    concurrence_rows,
     concurrence_squared,
     entropy_of_entanglement,
     entropy_rows,
@@ -183,6 +184,7 @@ def test_row_gives_same_bits_alone_and_in_a_batch():
         batch = np.array([v.probs for v in vectors])
         cases = [
             (entropy_rows(batch), entropy_of_entanglement, ()),
+            (concurrence_rows(batch), concurrence_squared, ()),
             (negativity_rows(batch), negativity, ()),
         ]
         cases += [(log_negativity_rows(batch, b), log_negativity, (b,)) for b in (2.0, 10.0)]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import sorted_simplex
+from locclab import scenarios
 from locclab.majorization import ComparabilityVerdict
 from locclab.scenarios import (
     AmplitudeHalf,
@@ -269,6 +270,24 @@ class TestValidateTables:
         with pytest.raises(ValueError, match="not in catalog"):
             replay_table_certificate(cert, catalog)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("psi", [0.9, 0.4, 0.2]),  # sums to 1.5
+            ("psip", [0.7, 0.4, -0.1]),  # a negative entry
+            ("alpha", 0.9),  # alpha^2 + beta^2 is not 1
+            ("beta", float("nan")),
+            ("phip", [0.5, 0.3, 0.2]),  # shared phi, but phip is not phi
+        ],
+        ids=["sum-1.5", "negative", "off-circle", "nan-beta", "phip-not-phi"],
+    )
+    def test_replay_rejects_malformed_instance(self, catalog, field, value):
+        cert = {"table": "3", "row": "2", "instance": ROW32_INSTANCE.to_doc()}
+        assert replay_table_certificate(cert, catalog)["row_conditions_pass"]
+        cert["instance"][field] = value
+        with pytest.raises(ValueError):
+            replay_table_certificate(json.loads(json.dumps(cert)), catalog)
+
     def test_preset_case_four_runs(self, catalog):
         report = validate_tables(rows_for_case(catalog, "IV"), 300, RandomSource(6))
         equal_row = next(t for t in report.rows if t.row.row_id == "1")
@@ -284,10 +303,10 @@ def test_readme_csv_columns_match_report_header():
 
 def test_observe_instance_orders_with_tie_category():
     outcome = observe_instance(ROW32_INSTANCE)
-    assert outcome.order in ("GAMMA_GT", "GAMMA_LT", "TIE")
-    assert outcome.c2_gamma == pytest.approx(0.9861439301377637, abs=1e-12)
-    assert outcome.c2_gamma_prime == pytest.approx(1.0911115752463976, abs=1e-12)
-    assert outcome.verdict is ComparabilityVerdict.INCOMPARABLE
+    assert outcome["order"] in ("GAMMA_GT", "GAMMA_LT", "TIE")
+    assert outcome["c2_gamma"] == pytest.approx(0.9861439301377637, abs=1e-12)
+    assert outcome["c2_gamma_prime"] == pytest.approx(1.0911115752463976, abs=1e-12)
+    assert outcome["observed_verdict"] == ComparabilityVerdict.INCOMPARABLE.value
 
 
 # ---------------------------------------------------------------------------
@@ -405,15 +424,93 @@ def test_row_conditions_match_text_oracle(catalog):
     outcomes = Counter()
     for r in catalog:
         case, weights, conditions = oracle[r.key]
+        instances = []
         for i in range(200):
             # Three in four draws meet the case preconditions, so the
             # written conditions decide; the rest exercise the gating.
             inst = _oracle_instance(gen, case, weights, force=i % 4 != 0)
+            instances.append(inst)
             try:
                 expected = _oracle_holds(case, weights, conditions, inst)
             except _TooClose:
                 continue
             assert check_row_conditions(r, inst) == expected, (r.key, inst)
             outcomes[conditions not in ("-", "unspecified"), expected] += 1
+        # The sweep checks a whole batch at once: same answer per sample.
+        batch = scenarios._in_regime(r, np.array([inst.values for inst in instances]))
+        assert batch.tolist() == [check_row_conditions(r, inst) for inst in instances], r.key
     # Both outcomes occur often on rows whose written conditions decide.
     assert outcomes[True, True] > 300 and outcomes[True, False] > 300
+
+
+# ---------------------------------------------------------------------------
+# Observation oracle: every satisfied sample of a sweep re-derived in plain
+# Python with the scalar formulas (left-to-right sums, math.sqrt, sorted and a
+# prefix-sum verdict), none of the package's array code.
+
+_VERDICTS = {
+    (True, True): "Equivalent",
+    (True, False): "ConvertibleAtoB",
+    (False, True): "ConvertibleBtoA",
+    (False, False): "Incomparable",
+}
+
+
+def _oracle_side(alpha, beta, psi, phi):
+    """Schmidt probabilities, squared concurrence and overlap of alpha psi + beta phi."""
+    u, v = [math.sqrt(p) for p in psi], [math.sqrt(p) for p in phi]
+    ov = 0.0
+    for a, b in zip(u, v):
+        ov += a * b
+    scale = 1.0 / math.sqrt(alpha * alpha + beta * beta + 2.0 * alpha * beta * ov)
+    gamma = [(alpha * a + beta * b) * scale for a, b in zip(u, v)]
+    squares = [g * g for g in gamma]  # g ** 2 can differ in the last bit
+    total = 0.0
+    for s in squares:
+        total += s
+    probs = [s / total for s in sorted(squares, reverse=True)]
+    purity = 0.0
+    for p in probs:
+        purity += p * p
+    return probs, 2.0 * (1.0 - purity), ov
+
+
+def _oracle_observation(values):
+    p, c2, ov = _oracle_side(values[0], values[1], values[4:7], values[7:10])
+    q, c2p, ovp = _oracle_side(values[2], values[3], values[10:13], values[13:16])
+    sp = sq = 0.0
+    forward = backward = True
+    for x, y in zip(p, q):
+        sp, sq = sp + x, sq + y
+        forward = forward and not sp > sq + 1e-12
+        backward = backward and not sq > sp + 1e-12
+    if c2 - c2p > 1e-12:
+        order = "GAMMA_GT"
+    elif c2p - c2 > 1e-12:
+        order = "GAMMA_LT"
+    else:
+        order = "TIE"
+    return {
+        "observed_verdict": _VERDICTS[forward, backward],
+        "order": order,
+        "c2_gamma": c2,
+        "c2_gamma_prime": c2p,
+        "overlap_gamma": ov,
+        "overlap_gamma_prime": ovp,
+    }
+
+
+def test_sweep_observations_match_plain_python_oracle(catalog, monkeypatch):
+    seen = []
+    observe = scenarios._observe
+
+    def recording(values):
+        observed = observe(values)
+        seen.extend(zip(values.tolist(), observed))
+        return observed
+
+    monkeypatch.setattr(scenarios, "_observe", recording)
+    report = validate_tables(catalog, 200, RandomSource(911))
+    assert len(seen) == sum(t.satisfied for t in report.rows) > 1000
+    for values, observed in seen:
+        assert observed == _oracle_observation(values), values

@@ -16,6 +16,7 @@ from locclab.states import (
     draw_sorted_simplex,
     make_schmidt_vector,
     schmidt_of_state,
+    simplex_masses,
     singular_values,
 )
 
@@ -219,6 +220,16 @@ class TestSampling:
         for i in range(200):
             v = SchmidtVector(draw(int(1 + i % 6), base.derive(i)))
             assert abs(sum(v.probs) - 1.0) <= 1e-12
+
+    def test_masses_normalize_by_a_left_to_right_sum(self):
+        # 1 + 1e-16 rounds back to 1 at each step, so the masses keep their
+        # draws; a compensated sum (math.fsum, sum() from Python 3.12) does not.
+        class Stub:
+            def standard_exponential(self, d):
+                return np.array([1.0, 1e-16, 1e-16])
+
+        assert math.fsum([1.0, 1e-16, 1e-16]) != 1.0
+        assert simplex_masses(Stub(), 3) == [1.0, 1e-16, 1e-16]
 
     def test_strict_draw_cap_raises_instead_of_hanging(self):
         # Strict draws at d = 300 are far rarer than one per MAX_DRAW_ATTEMPTS

@@ -12,7 +12,9 @@ from locclab.superpose import (
     SuperpositionSpec,
     VanishingSuperpositionError,
     overlap,
+    schmidt_rows,
     superpose,
+    superpose_rows,
 )
 
 S2 = 1 / math.sqrt(2)
@@ -191,3 +193,39 @@ def test_sorted_components_give_non_increasing_amplitudes(masses, alpha):
     beta = math.sqrt(1.0 - alpha * alpha)
     amps = superpose(SuperpositionSpec(alpha, beta, psi, phi)).state.amplitudes
     assert all(a >= b for a, b in zip(amps, amps[1:]))
+
+
+@st.composite
+def vector_pairs(draw):
+    """Weights and two vector-form components of one dimension from 1 to 16."""
+    d = draw(st.integers(1, 16))
+    masses = [draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d)) for _ in range(2)]
+    assume(all(sum(m) > 0.0 for m in masses))
+    psi, phi = (vec([x / sum(m) for x in m]) for m in masses)
+    alpha = draw(st.floats(0.0, 1.0))
+    return alpha, math.sqrt(1.0 - alpha * alpha), psi, phi
+
+
+@given(vector_pairs())
+@settings(max_examples=300)
+def test_norm_factor_and_overlap_bookkeeping(pair):
+    alpha, beta, psi, phi = pair
+    result = superpose(SuperpositionSpec(alpha, beta, psi, phi))
+    ov = 0.0
+    for a, b in zip(psi.amplitudes, phi.amplitudes):
+        ov += a * b
+    assert result.overlap == ov
+    assert result.norm_factor == alpha * alpha + beta * beta + 2.0 * alpha * beta * ov
+
+
+@given(vector_pairs())
+@settings(max_examples=300)
+def test_superpose_matches_array_helpers_bit_for_bit(pair):
+    alpha, beta, psi, phi = pair
+    result = superpose(SuperpositionSpec(alpha, beta, psi, phi))
+    gamma, ov = superpose_rows(
+        np.array([alpha]), np.array([beta]), np.array([psi.amplitudes]), np.array([phi.amplitudes])
+    )
+    assert float(ov[0]) == result.overlap
+    assert tuple(gamma[0].tolist()) == result.state.amplitudes
+    assert tuple(schmidt_rows(gamma)[0].tolist()) == result.schmidt.probs
