@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Collection, Iterable
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -39,7 +39,8 @@ from .states import (
     PureState,
     RandomSource,
     draw_sorted_simplex,
-    draw_weight,
+    draw_weights,
+    sample_chunks,
     schmidt_of_state,
     simplex_masses,
 )
@@ -596,12 +597,6 @@ class BoundSurvey:
         return "\n".join(lines) + "\n"
 
 
-# The survey draws and evaluates samples in chunks of this many, so its
-# memory stays bounded whatever the sample count.  The kernel's temporaries
-# take about 0.6 kB a sample, and larger chunks gain almost no time.
-SURVEY_CHUNK = 512
-
-
 def _draw_vector3(gen, orthogonal: bool) -> tuple[list[float], list[float]]:
     """Amplitudes of one component pair: sorted full-support triples, or
     disjoint supports.
@@ -625,19 +620,12 @@ def _draw_vector3(gen, orthogonal: bool) -> tuple[list[float], list[float]]:
     return psi_amp, phi_amp
 
 
-def _draw_chunk(rng: RandomSource, indices: range, orthogonal: bool):
-    """Weights and component triples of samples ``indices``, each drawn from its
-    own sub-stream: ``(m,)`` alpha and beta, ``(m, 4, 3)`` psi, phi, psi', phi'."""
-    weights = np.empty((len(indices), 2))
-    amps = np.empty((len(indices), 12))
-    for j, i in enumerate(indices):
-        gen = rng.derive(i).generator()
-        alpha = draw_weight(gen)
-        weights[j] = alpha, math.sqrt(1.0 - alpha * alpha)
-        psi, phi = _draw_vector3(gen, orthogonal)
-        psi2, phi2 = _draw_vector3(gen, orthogonal)
-        amps[j] = psi + phi + psi2 + phi2
-    return weights[:, 0], weights[:, 1], amps.reshape(-1, 4, 3)
+def _draw_sample(orthogonal: bool, gen) -> list[float]:
+    """One survey sample: alpha, beta, then the amplitudes of psi, phi, psi', phi'."""
+    sample = list(draw_weights(gen))
+    for amps in _draw_vector3(gen, orthogonal) + _draw_vector3(gen, orthogonal):
+        sample += amps
+    return sample
 
 
 def _row_instance(rows: _Rows, j: int, delta: float, log_base: float) -> BoundInstance:
@@ -681,10 +669,8 @@ def survey_bounds(
     held = dict.fromkeys(selected, 0)
     worst_margin: dict[str, float | None] = dict.fromkeys(selected)
     certs: dict[str, list[dict]] = {t: [] for t in selected}
-    for start in range(0, n, SURVEY_CHUNK):
-        alpha, beta, amps = _draw_chunk(
-            rng, range(start, min(n, start + SURVEY_CHUNK)), orthogonal_only
-        )
+    for start, drawn in sample_chunks(rng, n, 14, partial(_draw_sample, orthogonal_only)):
+        alpha, beta, amps = drawn[:, 0], drawn[:, 1], drawn[:, 2:].reshape(-1, 4, 3)
         second = None
         if "Chain11" in wanted:
             second = _amplitude_rows(alpha, beta, amps[:, 2], amps[:, 3])

@@ -14,16 +14,17 @@ idealization the predictions assume.
 
 from __future__ import annotations
 
-import math
 import re
 import zlib
 from dataclasses import asdict, dataclass
+from functools import partial
 from importlib import resources
 
 import numpy as np
 
 from .majorization import ComparabilityVerdict, _classify_probs
 from .measures import concurrence_rows
+from .statefile import _require_number
 from .states import (
     MAX_DRAW_ATTEMPTS,
     InvalidStateError,
@@ -31,7 +32,8 @@ from .states import (
     RandomSource,
     SchmidtVector,
     draw_sorted_simplex,
-    draw_weight,
+    draw_weights,
+    sample_chunks,
 )
 from .superpose import require_weights, schmidt_rows, superpose_rows
 
@@ -59,13 +61,12 @@ TIE = "TIE"
 CONDITION_GAP = 1e-12
 
 _WEIGHT_NAMES = ("alpha", "beta", "alphap", "betap")
+_TRIPLES = ("psi", "phi", "psip", "phip")
 _COEF_NAMES = tuple(
     f"{family}{i}" for family in ("a", "b", "ap", "bp") for i in range(3)
 )
 # Operand index of each condition name in ScenarioInstance.values.
 _NAMES = _WEIGHT_NAMES + _COEF_NAMES
-# Samples drawn and evaluated together by the tables sweep.
-TABLES_CHUNK = 128
 
 _HALF_RE = re.compile(
     r"^\(\s*(\w+)\s*\*\s*sqrt\(\s*(\w+)\s*\)\s*\+\s*(\w+)\s*\*\s*sqrt\(\s*(\w+)\s*\)\s*\)\s*"
@@ -153,23 +154,39 @@ class ScenarioInstance:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
     @classmethod
+    def from_values(cls, v: tuple, shared_phi: bool) -> "ScenarioInstance":
+        """The instance whose :attr:`values` are the tuple ``v``."""
+        return cls(*v[:4], v[4:7], v[7:10], v[10:13], v[13:16], shared_phi)
+
+    @classmethod
     def from_doc(cls, doc: dict) -> "ScenarioInstance":
-        """Read a serialized instance, rejecting one the observation cannot
-        superpose: weights off the unit circle, a triple that is not a sorted
+        """Read a serialized instance; a missing key, a wrongly typed field or an
+        instance :meth:`validate` rejects raises ``ValueError``."""
+        try:
+            weights = [_require_number(doc[name], name) for name in _WEIGHT_NAMES]
+            triples = [tuple(_require_number(x, name) for x in doc[name]) for name in _TRIPLES]
+            shared_phi = doc["shared_phi"]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed scenario instance: {type(exc).__name__} {exc}") from None
+        if not isinstance(shared_phi, bool):
+            raise ValueError(f"shared_phi must be true or false, got {shared_phi!r}")
+        return cls(*weights, *triples, shared_phi).validate()
+
+    def validate(self) -> "ScenarioInstance":
+        """Return the instance, or reject one the observation cannot superpose:
+        weights off the unit circle, a triple that is not a sorted 3-entry
         probability vector, or a shared phi whose two copies differ."""
-        weights = [float(doc[name]) for name in _WEIGHT_NAMES]
-        require_weights(*weights[:2])
-        require_weights(*weights[2:])
-        names = ("psi", "phi", "psip", "phip")
-        triples = [tuple(float(x) for x in doc[name]) for name in names]
-        for name, triple in zip(names, triples):
+        require_weights(self.alpha, self.beta)
+        require_weights(self.alphap, self.betap)
+        for name in _TRIPLES:
             try:
-                SchmidtVector(triple)
+                if SchmidtVector(getattr(self, name)).dim != 3:
+                    raise InvalidStateError("needs 3 coefficients")
             except InvalidStateError as exc:
                 raise InvalidStateError(f"{name}: {exc}") from None
-        if doc["shared_phi"] and triples[1] != triples[3]:
+        if self.shared_phi and self.phip != self.phi:
             raise ValueError("a shared-phi instance needs phip equal to phi")
-        return cls(*weights, *triples, bool(doc["shared_phi"]))
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +369,7 @@ def check_row_conditions(row: ScenarioRow, inst: ScenarioInstance) -> bool:
             f"instance {'shares' if inst.shared_phi else 'does not share'} phi "
             f"but row {row.key} {'requires' if row.shared_phi else 'forbids'} sharing"
         )
-    for triple in (inst.psi, inst.phi, inst.psip, inst.phip):
-        if len(triple) != 3:
-            raise ValueError(f"row {row.key} needs 3-coefficient components")
+    inst.validate()
     return bool(_in_regime(row, np.array([inst.values]))[0])
 
 
@@ -364,10 +379,8 @@ def check_row_conditions(row: ScenarioRow, inst: ScenarioInstance) -> bool:
 
 def _draw_weight_pair(gen, relation: str) -> tuple[float, float, float, float]:
     for _ in range(MAX_DRAW_ATTEMPTS):
-        u1 = draw_weight(gen)
-        u2 = u1 if relation == WEIGHT_EQUAL else draw_weight(gen)
-        b1 = math.sqrt(1.0 - u1 * u1)
-        b2 = math.sqrt(1.0 - u2 * u2)
+        u1, b1 = draw_weights(gen)
+        u2, b2 = (u1, b1) if relation == WEIGHT_EQUAL else draw_weights(gen)
         if _relation_holds(relation, u1 - u2, b1 - b2):
             return u1, b1, u2, b2
     raise PreconditionError(
@@ -375,13 +388,12 @@ def _draw_weight_pair(gen, relation: str) -> tuple[float, float, float, float]:
     )
 
 
-def _sample_instance(row: ScenarioRow, gen) -> ScenarioInstance:
-    alpha, beta, alphap, betap = _draw_weight_pair(gen, row.weight_relation)
-    psi = draw_sorted_simplex(gen, 3, strict=True)
-    psip = draw_sorted_simplex(gen, 3, strict=True)
-    phi = draw_sorted_simplex(gen, 3, strict=True)
+def _draw_values(row: ScenarioRow, gen) -> tuple[float, ...]:
+    """One sample of the row, in ``ScenarioInstance.values`` order."""
+    weights = _draw_weight_pair(gen, row.weight_relation)
+    psi, psip, phi = (draw_sorted_simplex(gen, 3, strict=True) for _ in range(3))
     phip = phi if row.shared_phi else draw_sorted_simplex(gen, 3, strict=True)
-    return ScenarioInstance(alpha, beta, alphap, betap, psi, phi, psip, phip, row.shared_phi)
+    return weights + psi + phi + psip + phip
 
 
 def _observe(values: np.ndarray) -> list[dict]:
@@ -410,6 +422,7 @@ def _observe(values: np.ndarray) -> list[dict]:
 
 def observe_instance(inst: ScenarioInstance) -> dict:
     """The observed fields of one instance, by the sweep's batch code."""
+    inst.validate()
     return _observe(np.array([inst.values]))[0]
 
 
@@ -469,17 +482,13 @@ class TableReport:
 
 
 def _satisfied_samples(row: ScenarioRow, source: RandomSource, n: int):
-    """Index, instance and observed fields of each of the row's ``n`` samples
-    that sits in its regime, in index order; drawn, checked and observed in
-    chunks of ``TABLES_CHUNK``."""
-    for start in range(0, n, TABLES_CHUNK):
-        batch = [
-            _sample_instance(row, source.derive(i).generator())
-            for i in range(start, min(n, start + TABLES_CHUNK))
-        ]
-        values = np.array([inst.values for inst in batch])
-        hits = np.flatnonzero(_in_regime(row, values)).tolist()
-        yield from zip([start + j for j in hits], [batch[j] for j in hits], _observe(values[hits]))
+    """Index, values and observed fields of each of the row's ``n`` samples
+    that sits in its regime, in index order; drawn, checked and observed a
+    ``states.sample_chunks`` chunk at a time."""
+    for start, values in sample_chunks(source, n, 16, partial(_draw_values, row)):
+        hits = np.flatnonzero(_in_regime(row, values))
+        kept = values[hits]
+        yield from zip((start + hits).tolist(), map(tuple, kept.tolist()), _observe(kept))
 
 
 def validate_tables(
@@ -509,7 +518,7 @@ def validate_tables(
         order_checked = order_agree = order_disagree = order_tie = 0
         overlap_sum = overlap_prime_sum = 0.0
         certs: list[dict] = []
-        for i, inst, observed in _satisfied_samples(row, _row_source(rng, row), samples_per_row):
+        for i, values, observed in _satisfied_samples(row, _row_source(rng, row), samples_per_row):
             satisfied += 1
             overlap_sum += abs(observed["overlap_gamma"])
             overlap_prime_sum += abs(observed["overlap_gamma_prime"])
@@ -542,7 +551,7 @@ def validate_tables(
                         "table": row.table,
                         "row": row.row_id,
                         "sample_index": i,
-                        "instance": inst.to_doc(),
+                        "instance": ScenarioInstance.from_values(values, row.shared_phi).to_doc(),
                         "predicted_pair": row.predicted_pair,
                         "predicted_order": row.predicted_order,
                         **observed,

@@ -25,6 +25,9 @@ MATRIX_FORM = "matrix"
 # Cap on the redraws of every rejection loop in the package; reaching it
 # raises PreconditionError instead of hanging.
 MAX_DRAW_ATTEMPTS = 10_000
+# Samples a Monte-Carlo sweep draws and evaluates together, so its memory
+# stays bounded whatever the sample count; larger chunks gain almost no time.
+SAMPLE_CHUNK = 512
 
 # Off-diagonal convergence threshold for the one-sided Jacobi sweep.
 _JACOBI_TOL = 1e-13
@@ -271,13 +274,24 @@ def draw_sorted_simplex(
     )
 
 
-def draw_weight(gen: np.random.Generator) -> float:
-    """One uniform weight in the open interval (0, 1)."""
+def draw_weights(gen: np.random.Generator) -> tuple[float, float]:
+    """One weight pair: alpha uniform in the open interval (0, 1), beta = sqrt(1 - alpha^2)."""
     for _ in range(MAX_DRAW_ATTEMPTS):
         u = float(gen.random())
         if 0.0 < u < 1.0:
-            return u
+            return u, math.sqrt(1.0 - u * u)
     raise PreconditionError(f"no weight in (0, 1) in {MAX_DRAW_ATTEMPTS} attempts")
+
+
+def sample_chunks(source: RandomSource, n: int, width: int, draw):
+    """Samples ``0..n-1`` in chunks of ``SAMPLE_CHUNK``: yields ``(start, rows)``
+    where row ``j`` of the ``(m, width)`` array is ``draw(gen)`` on sample
+    ``start + j``'s own sub-stream, so no result depends on the chunking."""
+    for start in range(0, n, SAMPLE_CHUNK):
+        rows = np.empty((min(SAMPLE_CHUNK, n - start), width))
+        for j in range(len(rows)):
+            rows[j] = draw(source.derive(start + j).generator())
+        yield start, rows
 
 
 def _one_sided_jacobi(work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -15,7 +16,7 @@ from formula_oracle import (
     compare_report,
     oracle_sides,
 )
-from locclab import bounds
+from locclab import bounds, states
 from locclab.bounds import (
     MAX_SURVEY_CERTIFICATES,
     THEOREM_ORDER,
@@ -32,7 +33,8 @@ from locclab.states import (
     PreconditionError,
     PureState,
     RandomSource,
-    draw_weight,
+    draw_weights,
+    sample_chunks,
     schmidt_of_state,
 )
 from locclab.superpose import SuperpositionSpec
@@ -439,8 +441,7 @@ def scalar_survey(
     certs = {t: [] for t in selected}
     for i in range(n):
         gen = rng.derive(i).generator()
-        alpha = draw_weight(gen)
-        beta = math.sqrt(1.0 - alpha * alpha)
+        alpha, beta = draw_weights(gen)
         inst, inst2 = (
             amplitude_instance(alpha, beta, psi, phi, delta, log_base)
             for psi, phi in [bounds._draw_vector3(gen, orthogonal_only) for _ in range(2)]
@@ -481,7 +482,9 @@ SURVEY_IDS = [
 def kernel_and_scalar_margins(rng, n, config):
     """Margins of one n-row chunk and of ``evaluate`` on each row alone, per
     theorem, and the largest gap between those reports and the formula oracle."""
-    alpha, beta, amps = bounds._draw_chunk(rng, range(n), config["orthogonal_only"])
+    draw = functools.partial(bounds._draw_sample, config["orthogonal_only"])
+    drawn = np.concatenate([rows for _, rows in sample_chunks(rng, n, 14, draw)])
+    alpha, beta, amps = drawn[:, 0], drawn[:, 1], drawn[:, 2:].reshape(-1, 4, 3)
     # Two rows the sampler never draws: components that share a zero
     # amplitude, so T6 meets a zero joint amplitude.
     shared_zero = [[[1.0, 0.0, 0.0]] * 4, [[0.8, 0.6, 0.0], [0.6, 0.8, 0.0]] * 2]
@@ -534,7 +537,7 @@ class TestSurveyKernel:
         assert survey == reference
         full = scalar_survey(RandomSource(79), 300)
         for chunk in (7, 1):
-            monkeypatch.setattr(bounds, "SURVEY_CHUNK", chunk)
+            monkeypatch.setattr(states, "SAMPLE_CHUNK", chunk)
             assert survey_bounds(RandomSource(79), 300) == full
 
     @pytest.mark.parametrize(

@@ -218,6 +218,30 @@ def test_schur_monotone_along_conversions(np_gen):
             assert renyi_entropy(chi, delta) >= renyi_entropy(eta, delta) - 1e-9
 
 
+@given(
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8).filter(lambda xs: sum(xs) > 1e-9),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=300)
+def test_measures_do_not_increase_along_mixed_from_conversions(raw, seed):
+    # A mix of permutations of p is majorized by p, so it converts to p under
+    # deterministic LOCC and no monotone may rise along the way.
+    p = make_schmidt_vector(raw)
+    mix = as_sv(mixed_from(np.random.default_rng(seed), p.probs))
+    assert classify_pair(mix, p) in (
+        ComparabilityVerdict.CONVERTIBLE_A_TO_B,
+        ComparabilityVerdict.EQUIVALENT,
+    )
+    for measure, arg in [
+        (renyi_entropy, 0.5),
+        (renyi_entropy, 2.0),
+        (renyi_entropy, 5.0),
+        (log_negativity, 2.0),
+        (log_negativity, 10.0),
+    ]:
+        assert measure(mix, arg) >= measure(p, arg) - 1e-9, (measure.__name__, arg)
+
+
 class TestComputeMeasure:
     def test_dispatch_and_units(self):
         v = as_sv((0.5, 0.3, 0.2))

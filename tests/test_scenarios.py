@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from collections import Counter
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import sorted_simplex
-from locclab import scenarios
+from locclab import scenarios, states
 from locclab.majorization import ComparabilityVerdict
 from locclab.scenarios import (
     AmplitudeHalf,
@@ -210,6 +211,17 @@ class TestValidateTables:
         only_one = validate_tables([rows[3]], 400, RandomSource(1))
         assert full.rows[3] == only_one.rows[0]
 
+    def test_chunking_changes_nothing(self, monkeypatch):
+        def sweep():
+            report = validate_tables(load_default_rows(), 60, RandomSource(5))
+            return report.to_csv(), json.dumps(report.certificates())
+
+        reference = sweep()
+        assert json.loads(reference[1])
+        for chunk in (1, 7):
+            monkeypatch.setattr(states, "SAMPLE_CHUNK", chunk)
+            assert sweep() == reference
+
     def test_unsatisfiable_row_satisfies_nothing(self):
         (impossible,) = load_scenario_rows("I | 1 | 99 | equal | a0 > a0 | - | - | -\n")
         report = validate_tables([impossible], 50, RandomSource(3))
@@ -293,6 +305,64 @@ class TestValidateTables:
         equal_row = next(t for t in report.rows if t.row.row_id == "1")
         assert equal_row.satisfied > 0
         assert equal_row.row.predicted_pair == "COMPARABLE"
+
+
+class TestInstanceValidation:
+    """Hand-built and serialized instances are checked before they are observed."""
+
+    MALFORMED = {
+        "negative-phi": {"phi": (1.2, -0.1, -0.1), "phip": (1.2, -0.1, -0.1)},
+        "two-coefficients": {
+            "psi": (0.6, 0.4),
+            "phi": (0.7, 0.3),
+            "psip": (0.5, 0.5),
+            "phip": (0.7, 0.3),
+        },
+        "off-circle": {"alpha": 0.9},
+        "phip-not-phi": {"phip": (0.5, 0.3, 0.2)},
+    }
+
+    @pytest.mark.parametrize("fields", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_observe_and_check_reject_malformed_instance(self, catalog, fields):
+        bad = dataclasses.replace(ROW32_INSTANCE, **fields)
+        with pytest.raises(ValueError):
+            observe_instance(bad)
+        with pytest.raises(ValueError):
+            check_row_conditions(row(catalog, "3.2"), bad)
+
+    def test_negative_phi_names_the_triple(self):
+        bad = dataclasses.replace(ROW32_INSTANCE, **self.MALFORMED["negative-phi"])
+        with pytest.raises(ValueError, match="^phi: negative entry"):
+            observe_instance(bad)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("psi", 0.5, "malformed"),
+            ("psi", "abc", "expected a number"),
+            ("alpha", [0.6], "expected a number"),
+            ("alpha", None, "expected a number"),
+            ("shared_phi", 1, "true or false"),
+            ("shared_phi", "yes", "true or false"),
+        ],
+        ids=["psi-number", "psi-string", "alpha-list", "alpha-null", "shared-int", "shared-str"],
+    )
+    def test_from_doc_rejects_wrongly_typed_field(self, field, value, message):
+        doc = ROW32_INSTANCE.to_doc()
+        doc[field] = value
+        with pytest.raises(ValueError, match=message):
+            ScenarioInstance.from_doc(doc)
+
+    @pytest.mark.parametrize("field", list(ROW32_INSTANCE.to_doc()))
+    def test_from_doc_rejects_missing_key(self, field):
+        doc = ROW32_INSTANCE.to_doc()
+        del doc[field]
+        with pytest.raises(ValueError, match=f"malformed scenario instance: KeyError '{field}'"):
+            ScenarioInstance.from_doc(doc)
+
+    def test_from_doc_rejects_non_object(self):
+        with pytest.raises(ValueError, match="malformed"):
+            ScenarioInstance.from_doc([0.6, 0.8])
 
 
 def test_readme_csv_columns_match_report_header():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from locclab import states
 from locclab.states import (
     InvalidStateError,
     PreconditionError,
@@ -14,7 +15,9 @@ from locclab.states import (
     SchmidtVector,
     _one_sided_jacobi,
     draw_sorted_simplex,
+    draw_weights,
     make_schmidt_vector,
+    sample_chunks,
     schmidt_of_state,
     simplex_masses,
     singular_values,
@@ -220,6 +223,23 @@ class TestSampling:
         for i in range(200):
             v = SchmidtVector(draw(int(1 + i % 6), base.derive(i)))
             assert abs(sum(v.probs) - 1.0) <= 1e-12
+
+    def test_weight_pair_completes_beta(self):
+        for i in range(200):
+            alpha, beta = draw_weights(RandomSource(8).derive(i).generator())
+            assert 0.0 < alpha < 1.0 and beta == math.sqrt(1.0 - alpha * alpha)
+
+    def test_sample_chunks_draw_each_sample_from_its_own_sub_stream(self, monkeypatch):
+        monkeypatch.setattr(states, "SAMPLE_CHUNK", 4)
+        base = RandomSource(11)
+        chunks = list(sample_chunks(base, 10, 2, draw_weights))
+        assert [(start, rows.shape) for start, rows in chunks] == [
+            (0, (4, 2)),
+            (4, (4, 2)),
+            (8, (2, 2)),
+        ]
+        drawn = np.concatenate([rows for _, rows in chunks]).tolist()
+        assert drawn == [list(draw_weights(base.derive(i).generator())) for i in range(10)]
 
     def test_masses_normalize_by_a_left_to_right_sum(self):
         # 1 + 1e-16 rounds back to 1 at each step, so the masses keep their
