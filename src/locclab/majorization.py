@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from enum import Enum
 
+import numpy as np
+
 from .states import PreconditionError, SchmidtVector
 
 # Partial-sum comparisons tolerate this much absolute slack, so numerically
@@ -23,11 +25,6 @@ class ComparabilityVerdict(Enum):
     CONVERTIBLE_A_TO_B = "ConvertibleAtoB"
     CONVERTIBLE_B_TO_A = "ConvertibleBtoA"
     INCOMPARABLE = "Incomparable"
-
-    @property
-    def comparable(self) -> bool:
-        """True unless the pair converts in neither direction."""
-        return self is not ComparabilityVerdict.INCOMPARABLE
 
 
 def _dominance(x: tuple[float, ...], y: tuple[float, ...]) -> tuple[bool, bool]:
@@ -58,20 +55,7 @@ def majorizes(y: SchmidtVector, x: SchmidtVector) -> bool:
 
     Vectors of different length are compared after zero-padding the shorter.
     """
-    px, py = _padded_pair(x, y)
-    return _dominance(px, py)[0]
-
-
-def _classify_probs(x: tuple[float, ...], y: tuple[float, ...]) -> ComparabilityVerdict:
-    """Verdict on equal-length, sorted probability tuples (no validation)."""
-    fwd, bwd = _dominance(x, y)
-    if fwd and bwd:
-        return ComparabilityVerdict.EQUIVALENT
-    if fwd:
-        return ComparabilityVerdict.CONVERTIBLE_A_TO_B
-    if bwd:
-        return ComparabilityVerdict.CONVERTIBLE_B_TO_A
-    return ComparabilityVerdict.INCOMPARABLE
+    return _dominance(*_padded_pair(x, y))[0]
 
 
 def classify_pair(chi: SchmidtVector, eta: SchmidtVector) -> ComparabilityVerdict:
@@ -81,7 +65,25 @@ def classify_pair(chi: SchmidtVector, eta: SchmidtVector) -> ComparabilityVerdic
     is majorized by eta; ``EQUIVALENT`` when both directions pass,
     ``INCOMPARABLE`` when neither does.
     """
-    return _classify_probs(*_padded_pair(chi, eta))
+    fwd, bwd = _dominance(*_padded_pair(chi, eta))
+    if fwd and bwd:
+        return ComparabilityVerdict.EQUIVALENT
+    if fwd:
+        return ComparabilityVerdict.CONVERTIBLE_A_TO_B
+    if bwd:
+        return ComparabilityVerdict.CONVERTIBLE_B_TO_A
+    return ComparabilityVerdict.INCOMPARABLE
+
+
+def classify_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """:func:`classify_pair`'s verdict value for each row pair of two ``(m, d)``
+    batches of sorted probabilities; prefix sums add left to right, as in :func:`_dominance`."""
+    sx, sy = np.cumsum(x, axis=1), np.cumsum(y, axis=1)
+    fwd = ~np.any(sx > sy + PARTIAL_SUM_TOL, axis=1)
+    bwd = ~np.any(sy > sx + PARTIAL_SUM_TOL, axis=1)
+    v = ComparabilityVerdict
+    choices = [v.EQUIVALENT.value, v.CONVERTIBLE_A_TO_B.value, v.CONVERTIBLE_B_TO_A.value]
+    return np.select([fwd & bwd, fwd, bwd], choices, v.INCOMPARABLE.value)
 
 
 def _require_strict_triple(name: str, v: SchmidtVector) -> None:

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import re
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 from importlib import resources
 
 import numpy as np
 
-from .majorization import ComparabilityVerdict, _classify_probs
+from .majorization import ComparabilityVerdict, classify_rows
 from .measures import concurrence_rows
 from .statefile import _require_number
 from .states import (
@@ -33,6 +33,7 @@ from .states import (
     SchmidtVector,
     draw_sorted_simplex,
     draw_weights,
+    left_sum,
     sample_chunks,
 )
 from .superpose import require_weights, schmidt_rows, superpose_rows
@@ -56,6 +57,9 @@ COMPARABLE = "COMPARABLE"
 GAMMA_GT = "GAMMA_GT"
 GAMMA_LT = "GAMMA_LT"
 TIE = "TIE"
+# The sample counts of a RowTally, in its field order.
+_COUNTS = ("satisfied", "verdict_agree", "verdict_disagree", "order_checked", "order_agree",
+           "order_disagree", "order_tie")
 
 # Strict comparisons in conditions and weight relations need this much gap.
 CONDITION_GAP = 1e-12
@@ -144,6 +148,10 @@ class ScenarioInstance:
     phip: tuple[float, ...]
     shared_phi: bool
 
+    def __post_init__(self) -> None:
+        for name in _TRIPLES:
+            object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
+
     @property
     def values(self) -> tuple[float, ...]:
         """The operands that conditions index: the weights, then psi, phi, psip, phip."""
@@ -151,7 +159,8 @@ class ScenarioInstance:
         return weights + self.psi + self.phi + self.psip + self.phip
 
     def to_doc(self) -> dict:
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
+        doc = {name: getattr(self, name) for name in _WEIGHT_NAMES + _TRIPLES + ("shared_phi",)}
+        return doc | {name: list(doc[name]) for name in _TRIPLES}
 
     @classmethod
     def from_values(cls, v: tuple, shared_phi: bool) -> "ScenarioInstance":
@@ -338,6 +347,10 @@ def _relation_holds(relation: str, da, db):
     return (-da > CONDITION_GAP) & (db > CONDITION_GAP)
 
 
+def _comparable(verdicts: np.ndarray) -> np.ndarray:
+    return verdicts != ComparabilityVerdict.INCOMPARABLE.value
+
+
 def _in_regime(row: ScenarioRow, values: np.ndarray) -> np.ndarray:
     """Which samples of an ``(m, 16)`` batch in ``ScenarioInstance.values`` order
     meet the row's weight relation, one of its condition groups and the case's
@@ -353,11 +366,9 @@ def _in_regime(row: ScenarioRow, values: np.ndarray) -> np.ndarray:
         row.weight_relation, values[:, 0] - values[:, 2], values[:, 1] - values[:, 3]
     )
     psi_needed, phi_needed = _CASE_PAIRS[row.case]
-    for j in np.flatnonzero(mask).tolist():
-        v = values[j].tolist()
-        mask[j] = _classify_probs(v[4:7], v[10:13]).comparable == psi_needed and (
-            phi_needed is None or _classify_probs(v[7:10], v[13:16]).comparable == phi_needed
-        )
+    mask &= _comparable(classify_rows(values[:, 4:7], values[:, 10:13])) == psi_needed
+    if phi_needed is not None:
+        mask &= _comparable(classify_rows(values[:, 7:10], values[:, 13:16])) == phi_needed
     return mask
 
 
@@ -396,34 +407,36 @@ def _draw_values(row: ScenarioRow, gen) -> tuple[float, ...]:
     return weights + psi + phi + psip + phip
 
 
-def _observe(values: np.ndarray) -> list[dict]:
+def _observe(values: np.ndarray) -> dict[str, np.ndarray]:
     """Superpose both sides of each sample of an ``(m, 16)`` batch, classify the
-    pair and compare squared concurrences: per sample, the observed fields a
-    certificate records and a replay re-derives."""
+    pair and compare squared concurrences: the observed fields a certificate
+    records and a replay re-derives, one column each."""
     amps = np.sqrt(values[:, 4:])
     gamma, overlap = superpose_rows(values[:, 0], values[:, 1], amps[:, 0:3], amps[:, 3:6])
     gamma_p, overlap_p = superpose_rows(values[:, 2], values[:, 3], amps[:, 6:9], amps[:, 9:12])
     p, p_prime = schmidt_rows(gamma), schmidt_rows(gamma_p)
     c2, c2p = concurrence_rows(p), concurrence_rows(p_prime)
-    columns = {
-        "observed_verdict": [
-            _classify_probs(x, y).value for x, y in zip(p.tolist(), p_prime.tolist())
-        ],
+    return {
+        "observed_verdict": classify_rows(p, p_prime),
         "order": np.select(
             [c2 - c2p > CONDITION_GAP, c2p - c2 > CONDITION_GAP], [GAMMA_GT, GAMMA_LT], TIE
-        ).tolist(),
-        "c2_gamma": c2.tolist(),
-        "c2_gamma_prime": c2p.tolist(),
-        "overlap_gamma": overlap.tolist(),
-        "overlap_gamma_prime": overlap_p.tolist(),
+        ),
+        "c2_gamma": c2,
+        "c2_gamma_prime": c2p,
+        "overlap_gamma": overlap,
+        "overlap_gamma_prime": overlap_p,
     }
-    return [dict(zip(columns, fields)) for fields in zip(*columns.values())]
+
+
+def _observed_at(columns: dict[str, np.ndarray], j: int) -> dict:
+    """Sample ``j``'s fields of :func:`_observe`'s columns, as Python values."""
+    return {name: column[j].item() for name, column in columns.items()}
 
 
 def observe_instance(inst: ScenarioInstance) -> dict:
     """The observed fields of one instance, by the sweep's batch code."""
     inst.validate()
-    return _observe(np.array([inst.values]))[0]
+    return _observed_at(_observe(np.array([inst.values])), 0)
 
 
 def _row_source(rng: RandomSource, row: ScenarioRow) -> RandomSource:
@@ -481,16 +494,6 @@ class TableReport:
         return "\n".join(lines) + "\n"
 
 
-def _satisfied_samples(row: ScenarioRow, source: RandomSource, n: int):
-    """Index, values and observed fields of each of the row's ``n`` samples
-    that sits in its regime, in index order; drawn, checked and observed a
-    ``states.sample_chunks`` chunk at a time."""
-    for start, values in sample_chunks(source, n, 16, partial(_draw_values, row)):
-        hits = np.flatnonzero(_in_regime(row, values))
-        kept = values[hits]
-        yield from zip((start + hits).tolist(), map(tuple, kept.tolist()), _observe(kept))
-
-
 def validate_tables(
     rows,
     samples_per_row: int,
@@ -513,36 +516,38 @@ def validate_tables(
         raise ValueError(f"max_certificates must be non-negative, got {max_certificates!r}")
     tallies = []
     for row in rows:
-        satisfied = 0
-        verdict_agree = verdict_disagree = 0
-        order_checked = order_agree = order_disagree = order_tie = 0
+        counts = np.zeros(len(_COUNTS), dtype=np.int64)
         overlap_sum = overlap_prime_sum = 0.0
         certs: list[dict] = []
-        for i, values, observed in _satisfied_samples(row, _row_source(rng, row), samples_per_row):
-            satisfied += 1
-            overlap_sum += abs(observed["overlap_gamma"])
-            overlap_prime_sum += abs(observed["overlap_gamma_prime"])
-            kind = None
-            in_regime = True
+        kind = "verdict" if row.predicted_order is None else "order"
+        draw = partial(_draw_values, row)
+        for start, values in sample_chunks(_row_source(rng, row), samples_per_row, 16, draw):
+            hits = np.flatnonzero(_in_regime(row, values))
+            kept = values[hits]
+            observed = _observe(kept)
+            # Left to right in sample order, whatever the chunking.
+            overlap_sum = left_sum([overlap_sum, *np.abs(observed["overlap_gamma"]).tolist()])
+            overlap_prime_sum = left_sum(
+                [overlap_prime_sum, *np.abs(observed["overlap_gamma_prime"]).tolist()]
+            )
+            # Which samples each count takes in; none for a count the row does not predict.
+            in_regime = np.ones(len(hits), dtype=bool)
+            masks = dict.fromkeys(_COUNTS, ~in_regime) | {"satisfied": in_regime}
             if row.predicted_pair is not None:
-                comparable = ComparabilityVerdict(observed["observed_verdict"]).comparable
-                if comparable == (row.predicted_pair == COMPARABLE):
-                    verdict_agree += 1
-                else:
-                    verdict_disagree += 1
-                    in_regime = False
-                    if row.predicted_order is None:
-                        kind = "verdict"
-            if row.predicted_order is not None and in_regime:
-                order_checked += 1
-                if observed["order"] == row.predicted_order:
-                    order_agree += 1
-                elif observed["order"] == TIE:
-                    order_tie += 1
-                else:
-                    order_disagree += 1
-                    kind = "order"
-            if kind is not None and (max_certificates is None or len(certs) < max_certificates):
+                in_regime = _comparable(observed["observed_verdict"]) == (
+                    row.predicted_pair == COMPARABLE
+                )
+                masks |= {"verdict_agree": in_regime, "verdict_disagree": ~in_regime}
+            if row.predicted_order is not None:
+                agree = in_regime & (observed["order"] == row.predicted_order)
+                tie = in_regime & ~agree & (observed["order"] == TIE)
+                masks |= {"order_checked": in_regime, "order_agree": agree, "order_tie": tie}
+                masks["order_disagree"] = in_regime & ~agree & ~tie
+            counts += np.count_nonzero(list(masks.values()), axis=1)
+            room = None if max_certificates is None else max_certificates - len(certs)
+            for j in np.flatnonzero(masks[f"{kind}_disagree"])[:room].tolist():
+                i = start + int(hits[j])
+                instance = ScenarioInstance.from_values(kept[j].tolist(), row.shared_phi)
                 certs.append(
                     {
                         "id": f"{row.key}-{i:06d}",
@@ -551,28 +556,15 @@ def validate_tables(
                         "table": row.table,
                         "row": row.row_id,
                         "sample_index": i,
-                        "instance": ScenarioInstance.from_values(values, row.shared_phi).to_doc(),
+                        "instance": instance.to_doc(),
                         "predicted_pair": row.predicted_pair,
                         "predicted_order": row.predicted_order,
-                        **observed,
+                        **_observed_at(observed, j),
                     }
                 )
-        tallies.append(
-            RowTally(
-                row=row,
-                samples=samples_per_row,
-                satisfied=satisfied,
-                verdict_agree=verdict_agree,
-                verdict_disagree=verdict_disagree,
-                order_checked=order_checked,
-                order_agree=order_agree,
-                order_disagree=order_disagree,
-                order_tie=order_tie,
-                mean_abs_overlap=overlap_sum / satisfied if satisfied else None,
-                mean_abs_overlap_prime=overlap_prime_sum / satisfied if satisfied else None,
-                certificates=tuple(certs),
-            )
-        )
+        n = int(counts[0])
+        means = [total / n if n else None for total in (overlap_sum, overlap_prime_sum)]
+        tallies.append(RowTally(row, samples_per_row, *counts.tolist(), *means, tuple(certs)))
     return TableReport(tuple(tallies))
 
 

@@ -7,6 +7,7 @@ from conftest import as_sv, mixed_from, sorted_simplex
 from locclab.majorization import (
     ComparabilityVerdict,
     classify_pair,
+    classify_rows,
     incomparable_3x3_shortcut,
     majorizes,
 )
@@ -88,6 +89,26 @@ class TestClassifyPair:
         assume(sum(raw_x) > 0.0 and sum(raw_y) > 0.0)
         x, y = make_schmidt_vector(raw_x), make_schmidt_vector(raw_y)
         assert classify_pair(y, x) is _SWAP[classify_pair(x, y)]
+        d = max(x.dim, y.dim)
+        rows = classify_rows(np.array([x.padded(d)]), np.array([y.padded(d)]))
+        assert rows.tolist() == [classify_pair(x, y).value]
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+    def test_classify_rows_matches_classify_pair(self, d):
+        gen = np.random.default_rng(1000 + d)
+        x = [sorted_simplex(gen, d) for _ in range(400)]
+        y = [sorted_simplex(gen, d) for _ in range(400)]
+        # A quarter of the rows are near-ties: x with PARTIAL_SUM_TOL, give or
+        # take a few rounding steps, moved between two neighbouring entries,
+        # so the verdict turns on how the prefix sums round.
+        for i in range(0, 400, 4):
+            row, j = list(x[i]), int(gen.integers(d - 1))
+            eps = float(gen.choice([-1.0, 1.0]) * gen.uniform(1.0 - 1e-3, 1.0 + 1e-3) * 1e-12)
+            row[j], row[j + 1] = row[j] + eps, row[j + 1] - eps
+            y[i] = tuple(sorted(row, reverse=True))
+        verdicts = classify_rows(np.array(x), np.array(y)).tolist()
+        assert verdicts == [classify_pair(as_sv(a), as_sv(b)).value for a, b in zip(x, y)]
+        assert "Equivalent" in verdicts and len(set(verdicts)) >= 3
 
     def test_equivalent_iff_both_directions(self, np_gen):
         for _ in range(500):

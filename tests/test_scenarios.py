@@ -187,6 +187,15 @@ class TestCheckRowConditions:
         with pytest.raises(ValueError, match="share"):
             check_row_conditions(row(catalog, "3.2"), bad)
 
+    def test_list_triples_act_as_tuples(self, catalog):
+        triples = ("psi", "phi", "psip", "phip")
+        lists = {name: list(getattr(ROW32_INSTANCE, name)) for name in triples}
+        inst = ScenarioInstance(**{**dataclasses.asdict(ROW32_INSTANCE), **lists})
+        assert check_row_conditions(row(catalog, "3.2"), inst)
+        assert observe_instance(inst) == observe_instance(ROW32_INSTANCE)
+        assert inst.to_doc() == ROW32_INSTANCE.to_doc()
+        assert inst == ROW32_INSTANCE
+
     def test_serialized_round_trip_still_passes(self, catalog):
         doc = json.loads(json.dumps(ROW32_INSTANCE.to_doc()))
         again = ScenarioInstance.from_doc(doc)
@@ -269,10 +278,21 @@ class TestValidateTables:
             assert replayed["c2_gamma"] == cert["c2_gamma"]
             assert replayed["c2_gamma_prime"] == cert["c2_gamma_prime"]
 
-    def test_certificate_cap(self, catalog):
+    def test_certificate_cap(self, catalog, monkeypatch):
+        # Chunks of 7 samples make the cap fall across chunk boundaries; one
+        # chunk holds several certificates of a row at the default size.
         rows = rows_for_case(catalog, "I")
-        capped = validate_tables(rows, 1500, RandomSource(1), max_certificates=2)
-        assert all(len(t.certificates) <= 2 for t in capped.rows)
+        for chunk in (7, states.SAMPLE_CHUNK):
+            monkeypatch.setattr(states, "SAMPLE_CHUNK", chunk)
+            full = validate_tables(rows, 600, RandomSource(1))
+            assert any(len(t.certificates) > 2 for t in full.rows)
+            for k in (0, 2):
+                capped = validate_tables(rows, 600, RandomSource(1), max_certificates=k)
+                for a, b in zip(full.rows, capped.rows):
+                    indices = [c["sample_index"] for c in a.certificates]
+                    assert indices == sorted(set(indices))
+                    assert b.certificates == a.certificates[:k]
+                    assert b == dataclasses.replace(a, certificates=b.certificates)
 
     def test_unknown_certificate_row_rejected(self, catalog):
         report = validate_tables(rows_for_case(catalog, "I"), 1500, RandomSource(1))
@@ -576,7 +596,9 @@ def test_sweep_observations_match_plain_python_oracle(catalog, monkeypatch):
 
     def recording(values):
         observed = observe(values)
-        seen.extend(zip(values.tolist(), observed))
+        columns = [column.tolist() for column in observed.values()]
+        assert all(len(column) == len(values) for column in columns)
+        seen.extend(zip(values.tolist(), (dict(zip(observed, row)) for row in zip(*columns))))
         return observed
 
     monkeypatch.setattr(scenarios, "_observe", recording)
