@@ -42,9 +42,10 @@ from .states import (
     draw_weights,
     sample_chunks,
     schmidt_of_state,
+    schmidt_rows,
     simplex_masses,
 )
-from .superpose import SuperpositionResult, SuperpositionSpec, schmidt_rows, superpose, superpose_rows
+from .superpose import SuperpositionResult, SuperpositionSpec, superpose, superpose_rows
 
 # A bound "holds" when every evaluated margin clears this floor.
 MARGIN_TOL = 1e-9
@@ -253,7 +254,7 @@ class _Rows:
 
 def _amplitude_rows(alpha, beta, psi, phi, second: _Rows | None = None) -> _Rows:
     """Rows of vector-form pairs with their superpositions."""
-    gamma, _ = superpose_rows(alpha, beta, psi, phi)
+    gamma = superpose_rows(alpha, beta, psi, phi)[0]
     return _Rows(
         alpha, beta, schmidt_rows(gamma), schmidt_rows(psi), schmidt_rows(phi), psi, phi, second
     )

@@ -11,7 +11,9 @@ failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -248,11 +250,23 @@ def _cmd_bounds(args) -> int:
     return _bounds_survey(args, theorems)
 
 
+def _require_output_paths(out: Path, certs: str | None) -> None:
+    """Raise before any sampling the error writing the CSV or certificates would end in."""
+    if not out.parent.is_dir():
+        code = errno.ENOTDIR if out.parent.exists() else errno.ENOENT
+        raise OSError(code, os.strerror(code), str(out))
+    if out.is_dir():
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), str(out))
+    if certs and Path(certs).exists() and not Path(certs).is_dir():
+        raise OSError(errno.EEXIST, os.strerror(errno.EEXIST), certs)
+
+
 def _cmd_tables(args) -> int:
     if args.seed is None:
         raise ValueError("randomized runs require an explicit --seed")
     if args.max_certs is not None and args.max_certs < 0:
         raise ValueError("--max-certs must be non-negative")
+    _require_output_paths(Path(args.out), args.certs)
     if args.rows is not None:
         rows = load_scenario_rows(Path(args.rows).read_text())
     else:

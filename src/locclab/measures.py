@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .states import SchmidtVector
+from .states import SchmidtVector, row_sum
 
 ENTROPY = "e"
 CONCURRENCE_SQUARED = "c2"
@@ -37,14 +37,6 @@ def require_renyi_order(delta: float) -> None:
     """Reject a Renyi order that is not a finite non-negative number."""
     if not (math.isfinite(delta) and delta >= 0.0):
         raise ValueError(f"Renyi order must be finite and non-negative, got {float(delta)!r}")
-
-
-def row_sum(x: np.ndarray) -> np.ndarray:
-    """Sum along axis 1, column by column from the left."""
-    total = x[:, 0]
-    for k in range(1, x.shape[1]):
-        total = total + x[:, k]
-    return total
 
 
 def xlog2x(x: np.ndarray) -> np.ndarray:

@@ -35,8 +35,9 @@ from .states import (
     draw_weights,
     left_sum,
     sample_chunks,
+    schmidt_rows,
 )
-from .superpose import require_weights, schmidt_rows, superpose_rows
+from .superpose import require_weights, superpose_rows
 
 CASES = ("I", "II", "III", "IV", "V")
 TABLES = ("1", "1A", "2", "2A", "3", "3A", "IV", "V")
@@ -412,8 +413,8 @@ def _observe(values: np.ndarray) -> dict[str, np.ndarray]:
     pair and compare squared concurrences: the observed fields a certificate
     records and a replay re-derives, one column each."""
     amps = np.sqrt(values[:, 4:])
-    gamma, overlap = superpose_rows(values[:, 0], values[:, 1], amps[:, 0:3], amps[:, 3:6])
-    gamma_p, overlap_p = superpose_rows(values[:, 2], values[:, 3], amps[:, 6:9], amps[:, 9:12])
+    gamma, overlap, _ = superpose_rows(values[:, 0], values[:, 1], amps[:, 0:3], amps[:, 3:6])
+    gamma_p, overlap_p, _ = superpose_rows(values[:, 2], values[:, 3], amps[:, 6:9], amps[:, 9:12])
     p, p_prime = schmidt_rows(gamma), schmidt_rows(gamma_p)
     c2, c2p = concurrence_rows(p), concurrence_rows(p_prime)
     return {

@@ -29,7 +29,7 @@ MAX_DRAW_ATTEMPTS = 10_000
 # stays bounded whatever the sample count; larger chunks gain almost no time.
 SAMPLE_CHUNK = 512
 
-# Off-diagonal convergence threshold for the one-sided Jacobi sweep.
+# Off-diagonal threshold below which the one-sided Jacobi sweep leaves a pair.
 _JACOBI_TOL = 1e-13
 _JACOBI_MAX_SWEEPS = 60
 
@@ -52,6 +52,22 @@ def left_sum(values) -> float:
     for x in values:
         total += x
     return total
+
+
+def row_sum(x: np.ndarray) -> np.ndarray:
+    """Sum along axis 1, column by column from the left."""
+    total = x[:, 0]
+    for k in range(1, x.shape[1]):
+        total = total + x[:, k]
+    return total
+
+
+def schmidt_rows(amps: np.ndarray) -> np.ndarray:
+    """Schmidt probabilities of amplitude rows, bit for bit as
+    ``make_schmidt_vector`` of the squares: squares summed in the given
+    order, then sorted non-increasing."""
+    sq = amps * amps
+    return np.sort(sq, axis=1)[:, ::-1] / row_sum(sq)[:, None]
 
 
 @dataclass(frozen=True)
@@ -294,18 +310,15 @@ def sample_chunks(source: RandomSource, n: int, width: int, draw):
         yield start, rows
 
 
-def _one_sided_jacobi(work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthogonalize the columns of ``work`` in place by Jacobi rotations.
-
-    Returns ``(column_norms, v)`` where ``v`` accumulates the rotations:
-    ``original @ v`` has mutually orthogonal columns whose norms are the
-    singular values (unsorted).  Converges when every normalized off-diagonal
-    inner product falls below ``_JACOBI_TOL``.
-    """
+def _one_sided_jacobi(work: np.ndarray) -> np.ndarray:
+    """Orthogonalize the columns of ``work`` in place by Jacobi rotations and
+    return their norms, the singular values (unsorted).  A pair is rotated
+    while its normalized inner product exceeds ``_JACOBI_TOL``; the sweeps end
+    with the first that changes nothing, as every later one would repeat it
+    (rotations against a column of rounding noise can round to no change)."""
     n = work.shape[1]
-    v = np.eye(n)
     for _ in range(_JACOBI_MAX_SWEEPS):
-        worst = 0.0
+        before = work.copy()
         for p in range(n - 1):
             for q in range(p + 1, n):
                 col_p = work[:, p]
@@ -316,16 +329,13 @@ def _one_sided_jacobi(work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 scale = math.sqrt(gpp * gqq)
                 if scale == 0.0 or abs(gpq) <= _JACOBI_TOL * scale:
                     continue
-                worst = max(worst, abs(gpq) / scale)
                 tau = (gqq - gpp) / (2.0 * gpq)
                 t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
-                rot = np.array([[c, s], [-s, c]])
-                work[:, [p, q]] = work[:, [p, q]] @ rot
-                v[:, [p, q]] = v[:, [p, q]] @ rot
-        if worst <= _JACOBI_TOL:
-            return np.sqrt(np.einsum("ij,ij->j", work, work)), v
+                work[:, [p, q]] = work[:, [p, q]] @ np.array([[c, s], [-s, c]])
+        if np.array_equal(work, before):
+            return np.sqrt(np.einsum("ij,ij->j", work, work))
     raise NumericalError("Jacobi sweep did not converge")
 
 
@@ -342,19 +352,15 @@ def singular_values(matrix) -> tuple[float, ...]:
         raise InvalidStateError("matrix has a non-finite entry")
     if arr.shape[1] > arr.shape[0]:
         arr = arr.T
-    norms, _ = _one_sided_jacobi(arr.copy())
+    norms = _one_sided_jacobi(arr.copy())
     return tuple(sorted((float(x) for x in norms), reverse=True))
 
 
 def schmidt_of_state(state: PureState) -> SchmidtVector:
-    """Schmidt probability vector of a pure state.
-
-    Vector form: squared amplitudes, sorted and normalized.  Matrix form:
-    squared singular values of the coefficient matrix, sorted and normalized.
-    """
+    """Schmidt probability vector of a pure state: :func:`schmidt_rows` of the
+    amplitudes (vector form) or of the singular values of the coefficient
+    matrix (matrix form)."""
     if not isinstance(state, PureState):
         raise InvalidStateError("expected a PureState")
-    if state.is_vector:
-        return make_schmidt_vector([a * a for a in state.amplitudes])
-    values = singular_values(state.amplitudes)
-    return make_schmidt_vector([s * s for s in values])
+    amps = state.amplitudes if state.is_vector else singular_values(state.amplitudes)
+    return SchmidtVector(schmidt_rows(np.array([amps]))[0].tolist())

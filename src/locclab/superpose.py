@@ -1,10 +1,11 @@
 """Weighted superposition of two pure bipartite states.
 
-Two evaluation paths give the same physics: shared-basis amplitude algebra
-for vector-form states (components combine index by index, never after
-sorting) and matrix addition plus singular values for coefficient matrices.
-The vector form also runs over ``(m, d)`` batches of amplitude rows, bit for
-bit as :func:`superpose`, for the bounds survey and the tables sweep.
+One formula serves both storage forms and every caller: :func:`superpose_rows`
+combines ``(m, n)`` batches of amplitude rows index by index, never after
+sorting.  The bounds survey and the tables sweep run it on vector-form
+batches; :func:`superpose` and :func:`overlap` run it on one row, the
+flattened amplitudes of a vector or of a coefficient matrix read row by row,
+and the Schmidt vector of a matrix-form result comes from its singular values.
 The combined state is always renormalized; the pre-normalization squared norm
 K and the component overlap are reported so that the orthogonal-component
 idealization (overlap 0, K 1) can be checked rather than assumed.
@@ -17,14 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import row_sum
-from .states import (
-    SUM_TOL,
-    PureState,
-    SchmidtVector,
-    left_sum,
-    schmidt_of_state,
-)
+from .states import SUM_TOL, PureState, SchmidtVector, row_sum, schmidt_of_state
 
 # Below this pre-normalization squared norm the superposition is degenerate.
 VANISHING_K = 1e-12
@@ -85,18 +79,18 @@ class SuperpositionResult:
         return abs(self.overlap) <= 1e-9
 
 
-def overlap(psi: PureState, phi: PureState) -> float:
-    """Inner product of two same-layout states.
+def _flat_row(state: PureState) -> np.ndarray:
+    """The amplitudes as one ``(1, n)`` row; a matrix is read row by row."""
+    return np.array([state.amplitudes]).reshape(1, -1)
 
-    Vector form: sum of products of amplitudes at matching basis labels.
-    Matrix form: entrywise inner product of the coefficient matrices.
-    """
+
+def overlap(psi: PureState, phi: PureState) -> float:
+    """Inner product of two same-layout states: products of amplitudes at
+    matching basis labels (vector form) or of matrix entries (matrix form),
+    summed as :func:`superpose_rows` sums them, here at weights (1, 0)."""
     if psi.layout != phi.layout:
         raise ValueError(f"layouts differ: {psi.layout} vs {phi.layout}")
-    a, b = psi.amplitudes, phi.amplitudes
-    if not psi.is_vector:
-        a, b = (x for row in a for x in row), (y for row in b for y in row)
-    return left_sum(x * y for x, y in zip(a, b))
+    return float(superpose_rows(np.ones(1), np.zeros(1), _flat_row(psi), _flat_row(phi))[1][0])
 
 
 def superpose(spec: SuperpositionSpec) -> SuperpositionResult:
@@ -105,40 +99,22 @@ def superpose(spec: SuperpositionSpec) -> SuperpositionResult:
     Raises :class:`VanishingSuperpositionError` when the components cancel
     (possible only with signed matrix entries).
     """
-    ov = overlap(spec.psi, spec.phi)
-    alpha, beta = spec.alpha, spec.beta
+    alpha, beta, psi = np.array([spec.alpha]), np.array([spec.beta]), spec.psi
+    gamma, ov, k = superpose_rows(alpha, beta, _flat_row(psi), _flat_row(spec.phi))
+    state = PureState(psi.form, gamma.reshape(np.shape(psi.amplitudes)).tolist())
+    return SuperpositionResult(state, schmidt_of_state(state), float(ov[0]), float(k[0]))
+
+
+def superpose_rows(alpha, beta, psi, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normalized superpositions of ``(m, n)`` amplitude rows, their ``(m,)``
+    overlaps (added from the left, starting at ``0.0`` so that ``-0.0``
+    products sum to ``0.0``) and norm factors K.  A K at most ``VANISHING_K``
+    raises; with non-negative amplitudes it cannot occur."""
+    ov = 0.0 + row_sum(psi * phi)
     k = alpha * alpha + beta * beta + 2.0 * alpha * beta * ov
-    if k <= VANISHING_K:
+    vanishing = k <= VANISHING_K
+    if vanishing.any():
         raise VanishingSuperpositionError(
-            f"superposition norm factor {k!r} vanishes; components cancel"
+            f"superposition norm factor {float(k[vanishing][0])!r} vanishes; components cancel"
         )
-    scale = 1.0 / math.sqrt(k)
-    if spec.psi.is_vector:
-        amps = tuple(
-            (alpha * a + beta * b) * scale
-            for a, b in zip(spec.psi.amplitudes, spec.phi.amplitudes)
-        )
-        state = PureState.vector(amps)
-    else:
-        rows = tuple(
-            tuple((alpha * x + beta * y) * scale for x, y in zip(row_a, row_b))
-            for row_a, row_b in zip(spec.psi.amplitudes, spec.phi.amplitudes)
-        )
-        state = PureState.matrix(rows)
-    return SuperpositionResult(state, schmidt_of_state(state), ov, k)
-
-
-def superpose_rows(alpha, beta, psi, phi) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized superpositions of vector-form ``(m, d)`` amplitude rows and
-    their ``(m,)`` overlaps, in :func:`superpose`'s operation order; K cannot
-    vanish with non-negative amplitudes."""
-    ov = row_sum(psi * phi)
-    k = alpha * alpha + beta * beta + 2.0 * alpha * beta * ov
-    return (alpha[:, None] * psi + beta[:, None] * phi) * (1.0 / np.sqrt(k))[:, None], ov
-
-
-def schmidt_rows(amps: np.ndarray) -> np.ndarray:
-    """Schmidt probabilities of shared-basis amplitude rows, bit for bit as
-    ``make_schmidt_vector``: squares summed in basis order, then sorted."""
-    sq = amps * amps
-    return np.sort(sq, axis=1)[:, ::-1] / row_sum(sq)[:, None]
+    return (alpha[:, None] * psi + beta[:, None] * phi) * (1.0 / np.sqrt(k))[:, None], ov, k

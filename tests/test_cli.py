@@ -198,6 +198,18 @@ class TestCli:
         assert "orthogonal_components = true" in out
         assert "e = 1.0" in out
 
+    def test_superpose_cancelling_matrices_exit_2(self, tmp_path, capsys):
+        paths = []
+        for sign in (1.0, -1.0):
+            paths.append(tmp_path / f"m{sign}.json")
+            paths[-1].write_text(emit_state_file(PureState.matrix([[sign, 0.0], [0.0, 0.0]])))
+        s2 = repr(1 / math.sqrt(2))
+        code = cli.run(["superpose", *map(str, paths), "--alpha", s2, "--beta", s2])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: superposition norm factor 0.0 vanishes; components cancel\n"
+        )
+
     def test_superpose_bad_weights_exit_2(self, fixture_files, capsys):
         code = cli.run(
             ["superpose", fixture_files["v1"], fixture_files["v2"], "--alpha", "1", "--beta", "1"]
@@ -478,6 +490,27 @@ class TestCli:
         )
         assert code == 2
         assert "error: --max-certs" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("target", ["missing_dir", "certs_is_file"])
+    def test_tables_bad_output_path_exits_2_before_sampling(
+        self, tmp_path, capsys, monkeypatch, target
+    ):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before the output paths were checked")
+
+        monkeypatch.setattr(cli, "validate_tables", no_sweep)
+        out_path = tmp_path / "t.csv"
+        certs = tmp_path / "certs"
+        if target == "missing_dir":
+            out_path = tmp_path / "missing" / "t.csv"
+        else:
+            certs.write_text("")
+        argv = ["tables", "--case", "I", "--samples", "10", "--seed", "1"]
+        code = cli.run(argv + ["--out", str(out_path), "--certs", str(certs)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: [Errno ") and str(tmp_path) in err
         assert not out_path.exists()
 
     def test_tables_runs_and_writes_csv(self, tmp_path, capsys):

@@ -98,6 +98,14 @@ class TestSchmidtOfState:
             direct = make_schmidt_vector([a * a for a in state.amplitudes])
             assert schmidt_of_state(state) == direct
 
+    def test_matrix_form_matches_make_schmidt_vector_exactly(self, np_gen):
+        for _ in range(50):
+            r, c = (int(n) for n in np_gen.integers(1, 7, size=2))
+            m = np_gen.normal(size=(r, c))
+            state = PureState.matrix((m / np.sqrt(np.sum(m * m))).tolist())
+            direct = make_schmidt_vector([s * s for s in singular_values(state.amplitudes)])
+            assert schmidt_of_state(state) == direct
+
     def test_diagonal_matrix(self):
         m = PureState.matrix([[1 / math.sqrt(2), 0.0], [0.0, 1 / math.sqrt(2)]])
         assert schmidt_of_state(m).probs == pytest.approx((0.5, 0.5), abs=1e-14)
@@ -143,11 +151,17 @@ class TestSingularValues:
             m = np_gen.normal(size=(int(r), int(c)))
             m /= np.linalg.norm(m)
             work = m.T if m.shape[1] > m.shape[0] else m
-            norms, v = _one_sided_jacobi(work.copy())
-            gram = work.T @ work
-            recon = v @ np.diag(norms**2) @ v.T
-            rel = np.linalg.norm(gram - recon) / max(np.linalg.norm(gram), 1e-300)
-            assert rel < 1e-12
+            norms = _one_sided_jacobi(work.copy())
+            # The squared column norms are the eigenvalues of the Gram matrix.
+            eig = np.linalg.eigvalsh(work.T @ work)
+            assert np.allclose(np.sort(norms * norms), eig, rtol=0.0, atol=1e-12)
+
+    def test_sweep_ends_when_rotations_round_to_no_change(self):
+        # Two equal columns leave a column of rounding noise that rotations
+        # against the third column can no longer move.
+        m = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.2773500981126146], [0.5547001962252291] * 3]
+        want = np.linalg.svd(np.array(m), compute_uv=False)
+        assert singular_values(m) == pytest.approx(tuple(want), rel=0.0, abs=1e-12)
 
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidStateError, match="non-finite"):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ from conftest import sorted_simplex
 from locclab.measures import entropy_of_entanglement
 from locclab.states import PureState, schmidt_of_state
 from locclab.superpose import (
+    VANISHING_K,
     SuperpositionSpec,
     VanishingSuperpositionError,
     overlap,
-    schmidt_rows,
     superpose,
     superpose_rows,
 )
@@ -218,14 +219,77 @@ def test_norm_factor_and_overlap_bookkeeping(pair):
     assert result.norm_factor == alpha * alpha + beta * beta + 2.0 * alpha * beta * ov
 
 
-@given(vector_pairs())
-@settings(max_examples=300)
-def test_superpose_matches_array_helpers_bit_for_bit(pair):
+@st.composite
+def matrix_pairs(draw):
+    """Weights and two signed matrix-form components of one shape, up to 5 x 5;
+    entries may be signed zeros, and the components may cancel."""
+    r, c = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entries = st.lists(st.floats(-1.0, 1.0), min_size=r * c, max_size=r * c)
+    pair = []
+    for raw in (draw(entries), draw(entries)):
+        total = math.sqrt(sum(x * x for x in raw))
+        assume(total > 1e-3)
+        pair.append(PureState.matrix((np.array(raw).reshape(r, c) / total).tolist()))
+    alpha = draw(st.floats(0.0, 1.0))
+    return alpha, math.sqrt(1.0 - alpha * alpha), pair[0], pair[1]
+
+
+def flat(state):
+    """Amplitudes as one list; a matrix is read row by row."""
+    return list(state.amplitudes) if state.is_vector else [x for r in state.amplitudes for x in r]
+
+
+def reference_superpose(alpha, beta, psi, phi):
+    """Overlap, K and flat amplitudes by a plain left-to-right Python loop."""
+    a, b = flat(psi), flat(phi)
+    ov = 0.0
+    for x, y in zip(a, b):
+        ov += x * y
+    k = alpha * alpha + beta * beta + 2.0 * alpha * beta * ov
+    if k <= VANISHING_K:
+        return ov, k, None
+    scale = 1.0 / math.sqrt(k)
+    return ov, k, [(alpha * x + beta * y) * scale for x, y in zip(a, b)]
+
+
+def hexes(values):
+    return [float(x).hex() for x in values]
+
+
+@given(st.one_of(vector_pairs(), matrix_pairs()))
+@settings(max_examples=400)
+def test_superpose_matches_reference_loop_bit_for_bit(pair):
     alpha, beta, psi, phi = pair
-    result = superpose(SuperpositionSpec(alpha, beta, psi, phi))
-    gamma, ov = superpose_rows(
-        np.array([alpha]), np.array([beta]), np.array([psi.amplitudes]), np.array([phi.amplitudes])
-    )
-    assert float(ov[0]) == result.overlap
-    assert tuple(gamma[0].tolist()) == result.state.amplitudes
-    assert tuple(schmidt_rows(gamma)[0].tolist()) == result.schmidt.probs
+    ov, k, amps = reference_superpose(alpha, beta, psi, phi)
+    assert overlap(psi, phi).hex() == ov.hex()
+    spec = SuperpositionSpec(alpha, beta, psi, phi)
+    if amps is None:
+        with pytest.raises(VanishingSuperpositionError, match=f"factor {re.escape(repr(k))} "):
+            superpose(spec)
+        return
+    result = superpose(spec)
+    assert result.overlap.hex() == ov.hex()
+    assert result.norm_factor.hex() == k.hex()
+    assert hexes(flat(result.state)) == hexes(amps)
+    assert result.state.layout == psi.layout
+
+
+@pytest.mark.parametrize(
+    "form", [PureState.vector, lambda a: PureState.matrix([a])], ids=["vector", "matrix"]
+)
+def test_negative_zero_products_give_positive_zero_overlap(form):
+    # Every product is -0.0; a sum from the left starting at 0.0 gives +0.0.
+    psi, phi = form([1.0, -0.0]), form([-0.0, 1.0])
+    assert overlap(psi, phi).hex() == (0.0).hex()
+    result = superpose(SuperpositionSpec(0.6, 0.8, psi, phi))
+    assert result.overlap.hex() == (0.0).hex()
+
+
+def test_batch_kernel_reports_vanishing_norm_factor():
+    # Row 1 cancels exactly: K = 2 s^2 - 2 s^2 = 0.0 at alpha = beta = s.
+    psi = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    phi = np.array([[0.0, 1.0], [-1.0, 0.0], [0.0, 1.0]])
+    weights = np.full(3, S2)
+    with pytest.raises(VanishingSuperpositionError) as info:
+        superpose_rows(weights, weights, psi, phi)
+    assert str(info.value) == "superposition norm factor 0.0 vanishes; components cancel"
