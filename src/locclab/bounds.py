@@ -50,7 +50,6 @@ from .superpose import SuperpositionResult, SuperpositionSpec, superpose, superp
 # A bound "holds" when every evaluated margin clears this floor.
 MARGIN_TOL = 1e-9
 
-THEOREM_ORDER = ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8", "T9", "Chain11")
 # A survey keeps at most this many certificates per theorem.
 MAX_SURVEY_CERTIFICATES = 10
 
@@ -110,8 +109,9 @@ class BoundReport:
 
     For an inequality written ``lhs <= rhs`` the margin is ``rhs - lhs``;
     ``holds`` requires every present margin to be at least ``-MARGIN_TOL``.
-    The snapshot carries the full inputs, so any report can be re-derived; it
-    is built from the evaluated instances on first access.
+    The snapshot carries the full inputs, so any report can be re-derived;
+    ``orthogonal`` tells whether every evaluated superposition has
+    orthogonal components.
     """
 
     theorem: str
@@ -122,23 +122,11 @@ class BoundReport:
     margin_lower: float | None
     margin_upper: float | None
     holds: bool
-    instance: BoundInstance
+    orthogonal: bool
+    snapshot: dict
     notes: tuple[str, ...] = ()
     chain_terms: tuple[float, ...] | None = None
     chain_margins: tuple[float, ...] | None = None
-    second: BoundInstance | None = None
-    scan_excludes_zero: bool = False
-
-    @property
-    def orthogonal(self) -> bool:
-        parts = (self.instance,) if self.second is None else (self.instance, self.second)
-        return all(inst.gamma.orthogonal_components for inst in parts)
-
-    @cached_property
-    def snapshot(self) -> dict:
-        return snapshot_of_instance(
-            self.instance, self.theorem, self.second, self.scan_excludes_zero
-        )
 
     def margins(self) -> tuple[float, ...]:
         present = [m for m in (self.margin_lower, self.margin_upper) if m is not None]
@@ -212,17 +200,16 @@ def replay_certificate(certificate: dict) -> BoundReport:
     )
 
 
-def _check_parameters(
-    theorems: Collection[str], delta: float | None, log_base: float
-) -> None:
+def _check_parameters(theorems: Collection[str], delta: float | None, log_base: float) -> None:
     """Reject a selection's bad parameters before anything is evaluated: an
-    unknown theorem, then the log base, then the Renyi order of T5 and T6."""
+    unknown theorem, then the log base, then the Renyi order of each selected
+    bound that needs one, in ``THEOREM_ORDER``."""
     unknown = sorted(set(theorems).difference(THEOREM_ORDER))
     if unknown:
         raise ValueError(f"unknown theorem {unknown[0]!r} (choose from {','.join(THEOREM_ORDER)})")
     require_log_base(log_base)
-    for theorem in ("T5", "T6"):
-        if theorem not in theorems:
+    for theorem in THEOREM_ORDER:
+        if theorem not in theorems or not _NEEDS[theorem].renyi:
             continue
         if delta is None:
             raise PreconditionError(f"{theorem} needs a Renyi order parameter")
@@ -302,10 +289,9 @@ def _coefficient_term(rows: _Rows, x: np.ndarray) -> np.ndarray:
     return 0.5 * (9.0 * (rows.alpha + rows.beta) ** 2 * x**2 - 1.0)
 
 
-# One function per bound, each over a whole batch of rows.  T2, T4, T9 and
-# the chain need 3x3 vector-form rows, T6 vector-form rows; the others take
-# any form and dimension.  bench/tracer.py times these names as the
-# ``bounds.evaluators`` layer.
+# One function per bound, each over a whole batch of rows; what each needs
+# of its rows is stated in the registry below.  bench/tracer.py times these
+# names as the ``bounds.evaluators`` layer.
 
 
 def eval_t1(rows: _Rows, delta: float, log_base: float, scan_excludes_zero: bool) -> _Sides:
@@ -446,7 +432,7 @@ def eval_chain_inequality(
         _coefficient_term(rows, np.maximum(ap[:, 0], bp[:, 0])),
         _coefficient_term(rows, np.minimum(a[:, 0], b[:, 0])),
     )
-    notes = (
+    readings = (
         _NEGATIVITY_NOTE,
         "literal transcription: coefficient terms square the squared Schmidt "
         "coefficients; the reading consistent with the amplitude-scan bound "
@@ -455,23 +441,51 @@ def eval_chain_inequality(
         "final link compares max(primed first coefficients) against "
         "min(unprimed first coefficients), as written",
     )
-    return _Sides(terms=terms, notes=lambda j: notes)
+
+    def notes(j: int) -> tuple[str, ...]:
+        return readings + tuple(
+            f"link {k} fails under the literal reading"
+            for k, (lhs, rhs) in enumerate(zip(terms, terms[1:]), 1)
+            if rhs[j] - lhs[j] < -MARGIN_TOL
+        )
+
+    return _Sides(terms=terms, notes=notes)
 
 
+@dataclass(frozen=True)
+class _Needs:
+    """What a bound's kernel needs, checked in field order after the log base:
+    a Renyi order other than 1, the chain's second instance with equal
+    weights, ``form`` components ("vector" of any dimension or "3x3" vector),
+    and ``alpha*beta > 0``.  ``scans`` marks the amplitude-scan bounds, the
+    only ones that read the zero-exclusion flag."""
+
+    renyi: bool = False
+    pair: bool = False
+    form: str | None = None
+    positive_product: bool = False
+    scans: bool = False
+
+
+# The registry, the only place that names a theorem: its kernel and needs.
 # ``_BOUNDS[theorem](rows, delta, log_base, scan_excludes_zero)`` gives both
-# sides of ``theorem`` on every row.
-_BOUNDS = {
-    "T1": eval_t1,
-    "T2": eval_t2,
-    "T3": eval_t3,
-    "T4": eval_t4,
-    "T5": eval_t5,
-    "T6": eval_t6,
-    "T7": eval_t7,
-    "T8": eval_t8,
-    "T9": eval_t9,
-    "Chain11": eval_chain_inequality,
+# sides of ``theorem`` on every row; its values are the functions themselves,
+# so a wrapper installed on an ``eval_*`` name replaces them there too.
+_REGISTRY = {
+    "T1": (eval_t1, _Needs()),
+    "T2": (eval_t2, _Needs(form="3x3", scans=True)),
+    "T3": (eval_t3, _Needs(positive_product=True)),
+    "T4": (eval_t4, _Needs(form="3x3", scans=True)),
+    "T5": (eval_t5, _Needs(renyi=True, positive_product=True)),
+    "T6": (eval_t6, _Needs(renyi=True, form="vector", scans=True)),
+    "T7": (eval_t7, _Needs()),
+    "T8": (eval_t8, _Needs()),
+    "T9": (eval_t9, _Needs(form="3x3", scans=True)),
+    "Chain11": (eval_chain_inequality, _Needs(pair=True, form="3x3")),
 }
+_BOUNDS = {theorem: kernel for theorem, (kernel, _) in _REGISTRY.items()}
+_NEEDS = {theorem: needs for theorem, (_, needs) in _REGISTRY.items()}
+THEOREM_ORDER = tuple(_REGISTRY)
 
 
 def _report(
@@ -482,48 +496,30 @@ def _report(
     second: BoundInstance | None,
     scan_excludes_zero: bool,
 ) -> BoundReport:
-    """Row ``j`` of ``sides`` as the report on ``inst``; failing chain links
-    are flagged in the notes."""
+    """Row ``j`` of ``sides`` as the report on ``inst`` (and the chain's
+    ``second``), with the snapshot that replays it."""
 
     def at(side: np.ndarray | None) -> float | None:
         return None if side is None else float(side[j])
 
     margins = iter(sides.margins[j].tolist())
-    margin_lower = None if sides.lower is None else next(margins)
-    margin_upper = None if sides.upper is None else next(margins)
-    notes = sides.notes(j)
-    chain_terms = chain_margins = None
-    if sides.terms is not None:
-        chain_terms = tuple(float(t[j]) for t in sides.terms)
-        chain_margins = tuple(margins)
-        notes += tuple(
-            f"link {i + 1} fails under the literal reading"
-            for i, m in enumerate(chain_margins)
-            if m < -MARGIN_TOL
-        )
+    parts = (inst,) if second is None else (inst, second)
+    scans = scan_excludes_zero and _NEEDS[theorem].scans
     return BoundReport(
         theorem,
         lower_lhs=at(sides.lower),
         lower_rhs=None if sides.lower is None else at(sides.value),
         upper_lhs=None if sides.upper is None else at(sides.value),
         upper_rhs=at(sides.upper),
-        margin_lower=margin_lower,
-        margin_upper=margin_upper,
+        margin_lower=None if sides.lower is None else next(margins),
+        margin_upper=None if sides.upper is None else next(margins),
         holds=bool(sides.holds[j]),
-        instance=inst,
-        notes=notes,
-        chain_terms=chain_terms,
-        chain_margins=chain_margins,
-        second=second,
-        scan_excludes_zero=scan_excludes_zero and theorem in ("T2", "T4", "T6", "T9"),
+        orthogonal=all(part.gamma.orthogonal_components for part in parts),
+        snapshot=snapshot_of_instance(inst, theorem, second, scans),
+        notes=sides.notes(j),
+        chain_terms=None if sides.terms is None else tuple(float(t[j]) for t in sides.terms),
+        chain_margins=None if sides.terms is None else tuple(margins),
     )
-
-
-def _require_vector3_components(inst: BoundInstance, theorem: str) -> None:
-    if inst.spec.psi.layout != (VECTOR_FORM, 3):
-        raise PreconditionError(
-            f"{theorem} is stated for 3x3 vector-form components, got {inst.spec.psi.layout}"
-        )
 
 
 def evaluate(
@@ -532,31 +528,30 @@ def evaluate(
     second: BoundInstance | None = None,
     scan_excludes_zero: bool = False,
 ) -> BoundReport:
-    """Evaluate one bound of ``THEOREM_ORDER`` on ``inst``.
-
-    Only the amplitude-scan bounds (T2, T4, T6, T9) take the zero-exclusion
-    flag; the chain needs the second instance (the snapshot's primed blocks)
-    with equal weights.
-    """
+    """Evaluate one bound of ``THEOREM_ORDER`` on ``inst`` once its registry
+    needs are met; only the chain reads ``second`` (the snapshot's primed
+    blocks), and only the amplitude-scan bounds the zero-exclusion flag."""
     _check_parameters((theorem,), inst.delta_param, inst.log_base)
-    if theorem == "Chain11":
-        if second is None:
-            raise PreconditionError("chain evaluation needs psi_prime/phi_prime blocks")
-        if abs(inst.alpha - second.alpha) > 1e-12 or abs(inst.beta - second.beta) > 1e-12:
-            raise PreconditionError(
-                f"chain needs equal weights, got ({inst.alpha!r}, {inst.beta!r}) "
-                f"vs ({second.alpha!r}, {second.beta!r})"
-            )
-        _require_vector3_components(inst, theorem)
-        _require_vector3_components(second, theorem)
-    else:
+    needs = _NEEDS[theorem]
+    if not needs.pair:
         second = None
-        if theorem in ("T2", "T4", "T9"):
-            _require_vector3_components(inst, theorem)
-        if theorem == "T6" and not inst.spec.psi.is_vector:
-            raise PreconditionError("T6 is stated for vector-form components")
-        if theorem in ("T3", "T5") and not inst.alpha * inst.beta > 0.0:
-            raise PreconditionError(f"{theorem} needs alpha*beta > 0 (log of the product is taken)")
+    elif second is None:
+        raise PreconditionError("chain evaluation needs psi_prime/phi_prime blocks")
+    elif abs(inst.alpha - second.alpha) > 1e-12 or abs(inst.beta - second.beta) > 1e-12:
+        raise PreconditionError(
+            f"chain needs equal weights, got ({inst.alpha!r}, {inst.beta!r}) "
+            f"vs ({second.alpha!r}, {second.beta!r})"
+        )
+    for part in (inst,) if second is None else (inst, second):
+        layout = part.spec.psi.layout
+        if needs.form == "3x3" and layout != (VECTOR_FORM, 3):
+            raise PreconditionError(
+                f"{theorem} is stated for 3x3 vector-form components, got {layout}"
+            )
+        if needs.form == "vector" and not part.spec.psi.is_vector:
+            raise PreconditionError(f"{theorem} is stated for vector-form components")
+    if needs.positive_product and not inst.alpha * inst.beta > 0.0:
+        raise PreconditionError(f"{theorem} needs alpha*beta > 0 (log of the product is taken)")
     rows = inst.rows if second is None else replace(inst.rows, second=second.rows)
     sides = _BOUNDS[theorem](rows, inst.delta_param, inst.log_base, scan_excludes_zero)
     return _report(theorem, sides, 0, inst, second, scan_excludes_zero)
@@ -673,7 +668,7 @@ def survey_bounds(
     for start, drawn in sample_chunks(rng, n, 14, partial(_draw_sample, orthogonal_only)):
         alpha, beta, amps = drawn[:, 0], drawn[:, 1], drawn[:, 2:].reshape(-1, 4, 3)
         second = None
-        if "Chain11" in wanted:
+        if any(_NEEDS[t].pair for t in selected):
             second = _amplitude_rows(alpha, beta, amps[:, 2], amps[:, 3])
         rows = _amplitude_rows(alpha, beta, amps[:, 0], amps[:, 1], second)
 
@@ -686,7 +681,7 @@ def survey_bounds(
             room = MAX_SURVEY_CERTIFICATES - len(certs[theorem])
             for j in np.flatnonzero(~sides.holds)[:room].tolist():
                 inst = _row_instance(rows, j, delta, log_base)
-                pair = _row_instance(second, j, delta, log_base) if theorem == "Chain11" else None
+                pair = _row_instance(second, j, delta, log_base) if _NEEDS[theorem].pair else None
                 report = _report(theorem, sides, j, inst, pair, scan_excludes_zero)
                 certs[theorem].append(
                     {

@@ -231,8 +231,6 @@ def _parse_condition(text: str, line_no: int):
             lhs_text, rhs_text = text.split(op, 1)
             lhs = tuple(_parse_factor(t, line_no) for t in lhs_text.split("*"))
             rhs = tuple(_parse_factor(t, line_no) for t in rhs_text.split("*"))
-            if not lhs or not rhs:
-                raise RowFormatError(f"line {line_no}: empty product in {text!r}")
             return ProductCompare(lhs, op, rhs)
     raise RowFormatError(f"line {line_no}: cannot parse condition {text!r}")
 

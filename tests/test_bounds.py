@@ -16,7 +16,7 @@ from formula_oracle import (
     compare_report,
     oracle_sides,
 )
-from locclab import bounds, states
+from locclab import bounds, cli, states
 from locclab.bounds import (
     MAX_SURVEY_CERTIFICATES,
     THEOREM_ORDER,
@@ -345,6 +345,105 @@ class TestEvaluatorOracle:
         again = evaluate("T1", rebuilt)
         assert again.margin_lower == report.margin_lower
         assert again.margin_upper == report.margin_upper
+
+
+MATRIX_PSI = {"form": "matrix", "amplitudes": [[0.6, 0.0], [0.0, 0.8]]}
+MATRIX_PHI = {"form": "matrix", "amplitudes": [[0.0, 0.8], [0.6, 0.0]]}
+VECTOR_PSI = {"form": "vector", "amplitudes": [0.8, 0.6, 0.0]}
+VECTOR_PHI = {"form": "vector", "amplitudes": [0.0, 0.6, 0.8]}
+ALL_THEOREMS = "T1,T2,T3,T4,T5,T6,T7,T8,T9,Chain11"
+
+
+def instance_doc(psi, phi, alpha=0.6, beta=0.8, **extra):
+    return {"alpha": alpha, "beta": beta, "psi": psi, "phi": phi, **extra}
+
+
+MATRIX_DOC = instance_doc(MATRIX_PSI, MATRIX_PHI, delta=2.0)
+VECTOR_DOC = instance_doc(VECTOR_PSI, VECTOR_PHI, delta=2.0)
+
+
+def run_instance(tmp_path, capsys, doc, *argv):
+    """Exit code, stdout and stderr of ``bounds --instance`` on ``doc``."""
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    code = cli.run(["bounds", "--instance", str(path), *argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestPreconditions:
+    """Each bound's needs, pinned by message: parameters first, then the
+    chain's pair and weights, then the layouts (first instance, then
+    second), then alpha*beta."""
+
+    CASES = [
+        ("T6", MATRIX_DOC, "T6 is stated for vector-form components"),
+        ("T2", MATRIX_DOC, "T2 is stated for 3x3 vector-form components, got ('matrix', 2, 2)"),
+        (
+            "T3",
+            instance_doc(VECTOR_PSI, VECTOR_PHI, alpha=1.0, beta=0.0),
+            "T3 needs alpha*beta > 0 (log of the product is taken)",
+        ),
+        ("Chain11", VECTOR_DOC, "chain evaluation needs psi_prime/phi_prime blocks"),
+        ("Chain11", MATRIX_DOC, "chain evaluation needs psi_prime/phi_prime blocks"),
+        (
+            "Chain11",
+            {**MATRIX_DOC, "psi_prime": VECTOR_PSI, "phi_prime": VECTOR_PHI},
+            "Chain11 is stated for 3x3 vector-form components, got ('matrix', 2, 2)",
+        ),
+        (
+            "Chain11",
+            {**VECTOR_DOC, "psi_prime": MATRIX_PSI, "phi_prime": MATRIX_PHI},
+            "Chain11 is stated for 3x3 vector-form components, got ('matrix', 2, 2)",
+        ),
+        ("T5", instance_doc(VECTOR_PSI, VECTOR_PHI), "T5 needs a Renyi order parameter"),
+        (
+            "T5",
+            instance_doc(VECTOR_PSI, VECTOR_PHI, alpha=1.0, beta=0.0),
+            "T5 needs a Renyi order parameter",
+        ),
+        ("T5", {**VECTOR_DOC, "delta": 1.0}, "T5 excludes Renyi order 1"),
+        ("T6", {**MATRIX_DOC, "delta": 1.0}, "T6 excludes Renyi order 1"),
+    ]
+    IDS = [
+        "t6-matrix", "t2-matrix", "t3-zero-product", "chain-unprimed", "chain-unprimed-matrix",
+        "chain-first-matrix", "chain-second-matrix", "t5-no-order", "t5-no-order-zero-product",
+        "t5-order-1", "t6-order-1-matrix",
+    ]
+
+    @pytest.mark.parametrize("theorem, doc, message", CASES, ids=IDS)
+    def test_evaluate_message(self, theorem, doc, message):
+        inst, second = instance_from_snapshot(doc), second_instance_from_snapshot(doc)
+        with pytest.raises(PreconditionError) as caught:
+            evaluate(theorem, inst, second)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("theorem, doc, message", CASES, ids=IDS)
+    def test_cli_message_and_exit_2(self, tmp_path, capsys, theorem, doc, message):
+        code, out, err = run_instance(tmp_path, capsys, doc, "--theorems", theorem.lower())
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_unequal_chain_weights(self):
+        # A snapshot shares one weight pair, so only a library call gets here.
+        inst = instance_from_snapshot(VECTOR_DOC)
+        second = instance_from_snapshot(instance_doc(MATRIX_PSI, MATRIX_PHI, 0.8, 0.6))
+        with pytest.raises(PreconditionError) as caught:
+            evaluate("Chain11", inst, second)
+        assert str(caught.value) == "chain needs equal weights, got (0.6, 0.8) vs (0.8, 0.6)"
+
+    def test_unknown_theorem(self, tmp_path, capsys):
+        with pytest.raises(ValueError) as caught:
+            evaluate("T42", instance_from_snapshot(VECTOR_DOC))
+        assert str(caught.value) == f"unknown theorem 'T42' (choose from {ALL_THEOREMS})"
+        code, out, err = run_instance(tmp_path, capsys, VECTOR_DOC, "--theorems", "t42")
+        assert (code, out) == (2, "")
+        assert err == f"error: unknown theorem 't42' (choose from {ALL_THEOREMS})\n"
+
+    def test_matrix_instance_prints_only_the_bounds_it_feeds(self, tmp_path, capsys):
+        code, out, err = run_instance(tmp_path, capsys, MATRIX_DOC)
+        assert (code, err) == (0, "")
+        printed = [line for line in out.splitlines() if line.startswith("theorem = ")]
+        assert printed == [f"theorem = {t}" for t in ("T1", "T3", "T5", "T7", "T8")]
 
 
 class TestSurvey:

@@ -202,6 +202,36 @@ class TestPureState:
         assert schmidt_of_state(m).probs == pytest.approx(schmidt_of_state(v).probs, abs=1e-13)
 
 
+def column_loop_sum(x):
+    """Sum along axis 1 one column at a time from the left, in Python floats."""
+    totals = []
+    for r in x.tolist():
+        total = r[0]
+        for v in r[1:]:
+            total += v
+        totals.append(total)
+    return totals
+
+
+class TestRowSum:
+    @pytest.mark.parametrize(
+        "shape", [(1, 2304), (3, 40), (600, 3), (7, 7), (50, 1), (0, 3)],
+        ids=["one-row", "wide", "tall", "square", "one-column", "empty"],
+    )
+    def test_bits_equal_the_column_loop(self, np_gen, shape):
+        x = np_gen.normal(size=shape) * np_gen.uniform(1e-3, 1e3, size=shape)
+        got = states.row_sum(x)
+        assert got.shape == (shape[0],)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in column_loop_sum(x)]
+
+    @pytest.mark.parametrize("width", [1, 2, 5])
+    def test_signed_zeros(self, width):
+        x = np.array([[-0.0] * width, [0.0] * width, [-0.0, 0.0, -0.0, 0.0, -0.0][:width]])
+        got = states.row_sum(x)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in column_loop_sum(x)]
+        assert math.copysign(1.0, got[0]) == -1.0
+
+
 def draw(d, rng, strict=False):
     return draw_sorted_simplex(rng.generator(), d, strict)
 
